@@ -1,13 +1,13 @@
-//! Ablation A4 (extension beyond the paper): thread-parallel sharded `S_*`.
+//! Ablation A4 (extension beyond the paper): the sharded `S_*` runtime.
 //!
 //! Distinct connected components are independent, so the shared-component
 //! engine parallelizes embarrassingly. We measure wall-clock scaling of the
-//! pipelined [`ParallelShared`] runner from 1 to 8 shards against the
-//! sequential `S_UniBin`, verifying output equality as we go.
+//! pipelined [`ShardedMulti::offer_batch`] (`Sh_*`) from 1 to 8 shards
+//! against the sequential `S_UniBin`, verifying output equality as we go.
 
 use firehose_bench::{f1, Dataset, Report, Scale};
 use firehose_core::engine::AlgorithmKind;
-use firehose_core::multi::{MultiDiversifier, ParallelShared, SharedMulti, Subscriptions};
+use firehose_core::multi::{MultiDiversifier, ShardedMulti, SharedMulti, Subscriptions};
 use firehose_core::{EngineConfig, Thresholds};
 use std::time::Instant;
 
@@ -51,22 +51,22 @@ fn main() {
 
     let mut largest = 0usize;
     for shards in [1usize, 2, 4, 8] {
-        eprintln!("[a4] parallel with {shards} shard(s) ...");
-        let mut parallel =
-            ParallelShared::new(AlgorithmKind::UniBin, config, &graph, subs.clone(), shards)
-                .expect("thread count is positive");
-        largest = parallel.largest_component_size();
+        eprintln!("[a4] sharded with {shards} shard(s) ...");
+        let mut sharded =
+            ShardedMulti::new(AlgorithmKind::UniBin, config, &graph, subs.clone(), shards)
+                .expect("shard count is positive");
+        largest = sharded.largest_component_size();
         let t0 = Instant::now();
-        let got = parallel.process_stream(&data.workload.posts);
-        let par_ms = t0.elapsed().as_secs_f64() * 1_000.0;
+        let got = sharded.offer_batch(&data.workload.posts);
+        let sh_ms = t0.elapsed().as_secs_f64() * 1_000.0;
         let identical = got == expected;
         r.row(&[
             shards.to_string(),
-            f1(par_ms),
-            f1(seq_ms / par_ms.max(1e-9)),
+            f1(sh_ms),
+            f1(seq_ms / sh_ms.max(1e-9)),
             identical.to_string(),
         ]);
-        assert!(identical, "parallel output diverged at {shards} shards");
+        assert!(identical, "sharded output diverged at {shards} shards");
     }
     r.finish();
     println!(

@@ -367,12 +367,14 @@ pub fn restore_engine_from_slice(
 }
 
 /// The restore-compatibility family of a multi-strategy name. The
-/// sequential shared strategy (`S_X`), its batch-parallel runner
-/// (`P_X(n)`), and the persistent sharded runtime (`Sh_X(n)`) all write
-/// identical FHSNAP04 state, so checkpoints move freely between them at any
-/// worker/shard count. `M_X` states are keyed per user and remain their own
-/// family.
+/// sequential shared strategy (`S_X`) and the persistent sharded runtime
+/// (`Sh_X(n)`) write identical FHSNAP04 state, so checkpoints move freely
+/// between them at any shard count. `M_X` states are keyed per user and
+/// remain their own family.
 fn strategy_family(name: &str) -> String {
+    // `P_X(n)` names the retired batch-parallel runner, which wrote the same
+    // state; the prefix stays so that its checkpoints still restore
+    // (pinned by `tests/compat_fixtures.rs`).
     for prefix in ["P_", "Sh_"] {
         if let Some(rest) = name.strip_prefix(prefix) {
             let base = rest.split('(').next().unwrap_or(rest);
@@ -384,7 +386,7 @@ fn strategy_family(name: &str) -> String {
 
 /// Load a multi-strategy checkpoint into an already-constructed strategy of
 /// the same shape (same kind, graph and subscriptions — the runner and its
-/// worker count may differ — `S_X`, `P_X(n)` and `Sh_X(n)` share one
+/// shard count may differ — `S_X` and `Sh_X(n)` share one
 /// restore-compatibility family). Cross-checks the
 /// manifest's strategy family and `posts_processed` against the target.
 ///

@@ -89,8 +89,8 @@ pub mod prelude {
     pub use crate::metrics::EngineMetrics;
     pub use crate::multi::{
         BuildError, ChurnStats, IndependentBuilder, IndependentMulti, MultiDecision,
-        MultiDiversifier, ParallelBuilder, ParallelShared, ShardFailure, ShardedBuilder,
-        ShardedMulti, SharedBuilder, SharedMulti, SubscriptionError, Subscriptions, UserId,
+        MultiDiversifier, ShardFailure, ShardedBuilder, ShardedMulti, SharedBuilder, SharedMulti,
+        SubscriptionError, Subscriptions, UserId,
     };
     pub use crate::service::{
         ChurnOp, FirehoseService, FirehoseServiceBuilder, OverloadConfig, OverloadPolicy,
@@ -116,7 +116,7 @@ pub use engine::{build_engine, AlgorithmKind, Diversifier};
 pub use metrics::EngineMetrics;
 pub use obs::{
     export_engine_metrics, export_guard_stats, export_kernel_info, export_memory_mode, EngineObs,
-    MultiObs, ShardObs,
+    MultiObs,
 };
 pub use quality::{evaluate, DeltaBounds, GateVerdict, MetricDelta, QualityGate, QualityReport};
 pub use service::{

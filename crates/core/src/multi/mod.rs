@@ -13,9 +13,9 @@
 //!   that exact component, so one engine per **distinct component** serves
 //!   them all.
 //!
-//! Both produce identical per-user streams (tested in `tests/`); [`parallel`]
-//! adds a sharded, thread-parallel runner for `S_*` (an extension beyond the
-//! paper).
+//! Both produce identical per-user streams (tested in `tests/`);
+//! [`ShardedMulti`] (`Sh_*`) runs `S_*`'s component engines on persistent
+//! worker shards (an extension beyond the paper).
 //!
 //! All three strategies support **live churn** —
 //! [`subscribe`](MultiDiversifier::subscribe),
@@ -26,7 +26,6 @@
 //! `registry` instead of rebuilding every engine (see `DESIGN.md` §9).
 
 mod independent;
-pub mod parallel;
 pub(crate) mod registry;
 pub(crate) mod ring;
 pub mod sharded;
@@ -34,7 +33,6 @@ mod shared;
 mod subscriptions;
 
 pub use independent::{IndependentBuilder, IndependentMulti};
-pub use parallel::{ParallelBuilder, ParallelShared};
 pub use sharded::{ShardedBuilder, ShardedMulti};
 pub use shared::{SharedBuilder, SharedMulti};
 pub use subscriptions::{SubscriptionError, Subscriptions, UserId};
@@ -57,7 +55,7 @@ pub struct MultiDecision {
 /// Errors constructing a multi-user strategy through its builder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// `ParallelShared` / `ShardedMulti` need at least one worker thread.
+    /// `ShardedMulti` needs at least one worker shard.
     ZeroThreads,
     /// `IndependentMulti` per-user configs must match the user count.
     ConfigCountMismatch {
@@ -196,8 +194,8 @@ pub trait MultiDiversifier {
     }
 
     /// Offer a whole time-ordered batch. The default maps
-    /// [`offer`](Self::offer); [`ParallelShared`] overrides it with its
-    /// sharded pipeline, which is the only way it parallelizes.
+    /// [`offer`](Self::offer); [`ShardedMulti`] overrides it to pipeline the
+    /// batch across its shards.
     fn offer_batch(&mut self, posts: &[Post]) -> Vec<MultiDecision> {
         posts.iter().map(|p| self.offer(p)).collect()
     }
@@ -236,9 +234,9 @@ pub trait MultiDiversifier {
     }
 
     /// Aggregated approximate-backend counters across all internal engines.
-    /// `None` when engines run exact — and for the thread-backed strategies
-    /// (`P_*`, `Sh_*`), which do not ship per-engine probe counters across
-    /// their shard channels; the `firehose_memory_mode` gauge still reports
+    /// `None` when engines run exact — and for the thread-backed `Sh_*`
+    /// strategy, which does not ship per-engine probe counters across its
+    /// shard rings; the `firehose_memory_mode` gauge still reports
     /// the configured mode there.
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         None

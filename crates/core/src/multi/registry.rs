@@ -1,5 +1,5 @@
 //! Refcounted component registry: the live-churn core of the shared
-//! strategies (`S_*` / `P_*`), see `DESIGN.md` §9.
+//! strategies (`S_*` / `Sh_*`), see `DESIGN.md` §9.
 //!
 //! The registry owns one [`CompactEngine`] per **distinct** connected
 //! component of some user's subscription subgraph, refcounted by the users
@@ -44,8 +44,8 @@ use crate::snapshot::SnapshotError;
 
 /// A live component's bookkeeping, kept apart from its engine so routing
 /// data (`members`, `users`) can be read while the engine is mutably
-/// borrowed — the parallel runner lends the engines to worker threads while
-/// the main thread keeps routing.
+/// borrowed or deployed — the sharded runtime ships the engines to worker
+/// threads while the control thread keeps routing.
 pub(crate) struct ComponentMeta {
     /// Sorted member authors — the component's identity.
     pub(crate) members: Vec<AuthorId>,

@@ -27,8 +27,8 @@
 //! Per post, the control thread replays `SharedMulti::offer_into` exactly:
 //! the sweep check runs first against the sequential `λt/2` schedule and, if
 //! due, an in-band `Req::Sweep` marker is sent to **every** shard before
-//! the post's records (the `Item::Sweep` discipline of
-//! [`parallel`](crate::multi::parallel)); the post is fingerprinted once on
+//! the post's records, so every engine's eviction counters match the
+//! sequential run; the post is fingerprinted once on
 //! the control thread (so SimHash pipelines with coverage scans on the
 //! shards); one `Req::Offer` per owning component is routed to its shard;
 //! responses carry exact per-engine counter deltas, which the control thread
@@ -77,7 +77,7 @@ use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::independent::CompactEngine;
 use crate::multi::registry::ComponentRegistry;
-use crate::multi::ring::{self, Doorbell, RingMode, Rx, Tx};
+use crate::multi::ring::{spsc, Doorbell, SpscReceiver, SpscSender};
 use crate::multi::subscriptions::{SubscriptionError, Subscriptions, UserId};
 use crate::multi::{
     component_key, write_multi_state, BuildError, ChurnStats, MultiDecision, MultiDiversifier,
@@ -249,8 +249,8 @@ fn add_signed(base: u64, d: i64) -> u64 {
 
 /// One shard's channel pair plus its wakeup doorbell.
 struct ShardLink {
-    req: Tx<Req>,
-    resp: Rx<Resp>,
+    req: SpscSender<Req>,
+    resp: SpscReceiver<Resp>,
     bell: Arc<Doorbell>,
 }
 
@@ -273,8 +273,6 @@ pub struct ShardedBuilder<'g> {
     shards: usize,
     watchdog: Option<Duration>,
     chaos: ShardFaultPlan,
-    /// Test override for the channel transport; `None` = `FIREHOSE_RING`.
-    pub(crate) mode: Option<RingMode>,
 }
 
 impl ShardedBuilder<'_> {
@@ -324,7 +322,6 @@ impl ShardedBuilder<'_> {
             self.subscriptions,
             self.warm_start,
         );
-        let mode = self.mode.unwrap_or_else(ring::ring_mode);
         let mut chaos: Vec<VecDeque<ShardFault>> = vec![VecDeque::new(); self.shards];
         for fault in self.chaos.faults {
             if fault.shard < self.shards {
@@ -336,7 +333,7 @@ impl ShardedBuilder<'_> {
         let mut health = Vec::with_capacity(self.shards);
         for (shard, queue) in chaos.iter_mut().enumerate() {
             let fault = queue.pop_front();
-            let (link, handle, h) = spawn_worker(shard, mode, fault);
+            let (link, handle, h) = spawn_worker(shard, fault);
             links.push(link);
             workers.push(Some(handle));
             health.push(h);
@@ -346,7 +343,6 @@ impl ShardedBuilder<'_> {
             links,
             workers,
             health,
-            mode,
             chaos,
             watchdog: self.watchdog,
             shards: self.shards,
@@ -373,11 +369,10 @@ impl ShardedBuilder<'_> {
 /// chaos fault for this lifetime.
 fn spawn_worker(
     shard: usize,
-    mode: RingMode,
     fault: Option<ShardFault>,
 ) -> (ShardLink, std::thread::JoinHandle<()>, Arc<ShardHealth>) {
-    let (req_tx, req_rx) = ring::channel::<Req>(RING_CAPACITY, mode);
-    let (resp_tx, resp_rx) = ring::channel::<Resp>(RING_CAPACITY, mode);
+    let (req_tx, req_rx) = spsc::<Req>(RING_CAPACITY);
+    let (resp_tx, resp_rx) = spsc::<Resp>(RING_CAPACITY);
     let bell = Arc::new(Doorbell::new());
     let health = Arc::new(ShardHealth::default());
     let worker_bell = Arc::clone(&bell);
@@ -407,8 +402,6 @@ pub struct ShardedMulti {
     workers: Vec<Option<std::thread::JoinHandle<()>>>,
     /// Per-shard health records shared with the workers.
     health: Vec<Arc<ShardHealth>>,
-    /// Ring transport, kept so respawned workers get the same kind.
-    mode: RingMode,
     /// Remaining scheduled chaos faults per shard; each worker lifetime
     /// consumes at most one at spawn.
     chaos: Vec<VecDeque<ShardFault>>,
@@ -469,7 +462,6 @@ impl ShardedMulti {
             shards: 1,
             watchdog: None,
             chaos: ShardFaultPlan::none(),
-            mode: None,
         }
     }
 
@@ -496,6 +488,14 @@ impl ShardedMulti {
     /// Number of distinct components (= number of engines).
     pub fn component_count(&self) -> usize {
         self.registry.component_count()
+    }
+
+    /// Author count of the largest single component — the parallelism
+    /// ceiling: a component cannot be split across shards (its posts cover
+    /// each other), so by Amdahl's law the speedup is bounded by the largest
+    /// component's share of the total work.
+    pub fn largest_component_size(&self) -> usize {
+        self.registry.largest_component_size()
     }
 
     /// Number of worker shards.
@@ -926,7 +926,7 @@ impl ShardedMulti {
             let fault = self.chaos[shard].pop_front();
             // Replacing the link retires the old rings (and whatever stale
             // requests they still held) once the old worker's ends drop.
-            let (link, handle, health) = spawn_worker(shard, self.mode, fault);
+            let (link, handle, health) = spawn_worker(shard, fault);
             self.links[shard] = link;
             self.workers[shard] = Some(handle);
             self.health[shard] = health;
@@ -1201,8 +1201,8 @@ fn receive_parked_responses(
 /// the unwind itself; the post-`catch_unwind` store covers the (impossible
 /// today, cheap forever) case of the guard being skipped.
 fn worker_loop(
-    rx: Rx<Req>,
-    tx: Tx<Resp>,
+    rx: SpscReceiver<Req>,
+    tx: SpscSender<Resp>,
     bell: Arc<Doorbell>,
     health: Arc<ShardHealth>,
     fault: Option<ShardFault>,
@@ -1232,8 +1232,8 @@ fn worker_loop(
 /// request, and fires its scheduled chaos fault (if any) once enough
 /// requests have been handled.
 fn worker_run(
-    rx: Rx<Req>,
-    tx: Tx<Resp>,
+    rx: SpscReceiver<Req>,
+    tx: SpscSender<Resp>,
     bell: Arc<Doorbell>,
     health: &ShardHealth,
     fault: Option<ShardFault>,
@@ -1353,7 +1353,7 @@ fn worker_run(
 /// Returns `None` once the watchdog has abandoned this worker — the
 /// doorbell's 50ms park timeout bounds how long an abandoned worker sleeps
 /// before noticing.
-fn next_req(rx: &Rx<Req>, bell: &Doorbell, health: &ShardHealth) -> Option<Req> {
+fn next_req(rx: &SpscReceiver<Req>, bell: &Doorbell, health: &ShardHealth) -> Option<Req> {
     let mut idle: u32 = 0;
     loop {
         if let Some(req) = rx.try_pop() {
@@ -1834,20 +1834,6 @@ mod tests {
     }
 
     #[test]
-    fn mpsc_fallback_transport_matches() {
-        let (graph, subs) = figure7();
-        let stream = posts(80);
-        let mut seq = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone());
-        let expected: Vec<_> = stream.iter().map(|p| seq.offer(p)).collect();
-        let mut builder =
-            ShardedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs).shards(2);
-        builder.mode = Some(RingMode::Mpsc);
-        let mut sh = builder.build().unwrap();
-        let got: Vec<_> = stream.iter().map(|p| sh.offer(p)).collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn zero_shards_rejected() {
         let (graph, subs) = figure7();
         let err = ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs, 0)
@@ -1861,6 +1847,9 @@ mod tests {
         let (graph, subs) = figure7();
         let sh = ShardedMulti::new(AlgorithmKind::CliqueBin, config(), &graph, subs, 4).unwrap();
         assert_eq!(MultiDiversifier::name(&sh), "Sh_CliqueBin(4)");
+        // Components {0, 1, 5}, {3} and {3, 4}.
+        assert_eq!(sh.component_count(), 3);
+        assert_eq!(sh.largest_component_size(), 3);
     }
 
     #[test]

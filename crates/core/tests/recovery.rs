@@ -14,7 +14,7 @@ use firehose_core::checkpoint::{
     CheckpointPolicy, RestoreError,
 };
 use firehose_core::engine::{build_engine, AlgorithmKind, Diversifier};
-use firehose_core::multi::{MultiDiversifier, ParallelShared, SharedMulti, Subscriptions};
+use firehose_core::multi::{MultiDiversifier, ShardedMulti, SharedMulti, Subscriptions};
 use firehose_core::snapshot::{restore_unibin, snapshot_unibin};
 use firehose_core::{Decision, EngineConfig, Thresholds};
 use firehose_graph::UndirectedGraph;
@@ -295,10 +295,11 @@ fn whole_file_snapshot_truncation_fuzz() {
     restore_unibin(&mut r, graph()).unwrap();
 }
 
-/// ParallelShared serializes its state in global component order, so its
-/// bytes are interchangeable with SharedMulti's regardless of shard count.
+/// ShardedMulti stitches its shards' engine blobs into SharedMulti's
+/// component-keyed layout, so its bytes are interchangeable with
+/// SharedMulti's regardless of shard count.
 #[test]
-fn parallel_state_is_byte_compatible_with_shared() {
+fn sharded_state_is_byte_compatible_with_shared() {
     let posts = stream(41, 200);
     let mut shared = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph(), subscriptions());
     for p in &posts {
@@ -311,47 +312,47 @@ fn parallel_state_is_byte_compatible_with_shared() {
     let tail = stream(43, 40);
     let expect: Vec<_> = tail.iter().map(|p| shared.offer(p)).collect();
 
-    for threads in [1, 3] {
-        let mut par = ParallelShared::new(
+    for shards in [1, 3] {
+        let mut sharded = ShardedMulti::new(
             AlgorithmKind::UniBin,
             config(),
             &graph(),
             subscriptions(),
-            threads,
+            shards,
         )
         .unwrap();
-        par.process_stream(&posts);
-        let mut par_bytes = Vec::new();
-        par.save_state(&mut par_bytes).unwrap();
+        sharded.offer_batch(&posts);
+        let mut sharded_bytes = Vec::new();
+        sharded.save_state(&mut sharded_bytes).unwrap();
         assert_eq!(
-            par_bytes, shared_bytes,
-            "P({threads}) state bytes differ from S_"
+            sharded_bytes, shared_bytes,
+            "Sh({shards}) state bytes differ from S_"
         );
 
-        // Cross-load both ways: shared state into a fresh parallel runner…
-        let mut fresh = ParallelShared::new(
+        // Cross-load both ways: shared state into a fresh sharded runtime…
+        let mut fresh = ShardedMulti::new(
             AlgorithmKind::UniBin,
             config(),
             &graph(),
             subscriptions(),
-            threads,
+            shards,
         )
         .unwrap();
         let mut r: &[u8] = &shared_bytes;
         fresh.load_state(&mut r).unwrap();
         assert_eq!(
-            fresh.process_stream(&tail),
+            fresh.offer_batch(&tail),
             expect,
-            "P({threads}) diverged after loading S_ state"
+            "Sh({shards}) diverged after loading S_ state"
         );
-        // …and parallel state into a fresh shared strategy.
+        // …and sharded state into a fresh shared strategy.
         let mut back = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph(), subscriptions());
-        let mut r: &[u8] = &par_bytes;
+        let mut r: &[u8] = &sharded_bytes;
         back.load_state(&mut r).unwrap();
         let replayed: Vec<_> = tail.iter().map(|p| back.offer(p)).collect();
         assert_eq!(
             replayed, expect,
-            "S_ diverged after loading P({threads}) state"
+            "S_ diverged after loading Sh({shards}) state"
         );
     }
 }

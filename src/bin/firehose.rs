@@ -99,13 +99,13 @@ fn usage() -> String {
      \t[--out FILE] [--quiet true]\n\
      \t[--checkpoint-dir DIR] [--checkpoint-every OFFERS] [--checkpoint-secs S]\n\
      \t[--guard strict|clamp|reorder] [--reorder-bound-ms N]\n\
-     \t[--subscriptions FILE [--strategy independent|shared|parallel[:N]|sharded[:N]]\n\
+     \t[--subscriptions FILE [--strategy independent|shared|sharded[:N]]\n\
      \t[--shards N] [--churn-trace FILE]\n\
      \t[--overload block|shed|reject[:CAPACITY]] [--rate-limit POSTS_PER_SEC]]\n\
      serve        --graph FILE --subscriptions FILE [--listen ADDR:PORT]\n\
      \t[--algorithm ...] [--lambda-c N] [--lambda-t-mins N] [--lambda-a F]\n\
      \t[--memory exact|approx[:BUDGET]]\n\
-     \t[--strategy independent|shared|parallel[:N]|sharded[:N]] [--shards N]\n\
+     \t[--strategy independent|shared|sharded[:N]] [--shards N]\n\
      \t[--guard strict|clamp|reorder] [--reorder-bound-ms N]\n\
      \t[--overload block|shed|reject[:CAPACITY]] [--rate-limit POSTS_PER_SEC]\n\
      \t[--checkpoint-dir DIR] [--max-conns N] [--stream-buffer N]\n\
@@ -122,6 +122,28 @@ fn thresholds_from(args: &Args) -> Result<Thresholds, String> {
     let lambda_t_mins: u64 = args.parse_or("lambda-t-mins", 30)?;
     let lambda_a: f64 = args.parse_or("lambda-a", 0.7)?;
     Thresholds::new(lambda_c, minutes(lambda_t_mins), lambda_a).map_err(|e| e.to_string())
+}
+
+/// The multi-user strategy from `--strategy` (default `shared`), with
+/// `--shards N` as shorthand for `--strategy sharded:N`. A `--shards` that
+/// disagrees with an explicit `--strategy` is an error, not an override.
+fn strategy_from(args: &Args) -> Result<StrategyKind, String> {
+    let spec = args.get("strategy");
+    let strategy: StrategyKind = spec.unwrap_or("shared").parse()?;
+    let Some(n) = args.get("shards") else {
+        return Ok(strategy);
+    };
+    let n: usize = n.parse().map_err(|e| format!("bad --shards {n:?}: {e}"))?;
+    match (spec, strategy) {
+        (None, _) => Ok(StrategyKind::Sharded { shards: n }),
+        // `sharded` without a count takes its count from `--shards`.
+        (Some(spec), StrategyKind::Sharded { shards }) if shards == n || !spec.contains(':') => {
+            Ok(StrategyKind::Sharded { shards: n })
+        }
+        (Some(spec), _) => Err(format!(
+            "--shards {n} conflicts with --strategy {spec}; use --strategy sharded:{n} alone"
+        )),
+    }
 }
 
 /// Full engine configuration: thresholds plus the coverage memory mode from
@@ -391,13 +413,7 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
     let algorithm = algorithm_from(args)?;
     let engine_config = engine_config_from(args)?;
     let quiet: bool = args.parse_or("quiet", false)?;
-    let mut strategy: StrategyKind = args.get("strategy").unwrap_or("shared").parse()?;
-    if let Some(n) = args.get("shards") {
-        // `--shards N` is shorthand for `--strategy sharded:N`.
-        strategy = StrategyKind::Sharded {
-            shards: n.parse().map_err(|e| format!("bad --shards {n:?}: {e}"))?,
-        };
-    }
+    let strategy = strategy_from(args)?;
 
     let posts = corpus::read_posts(&mut open_reader(posts_path)?).map_err(|e| e.to_string())?;
     let graph = load_graph_for_posts(graph_path, &posts)?;
@@ -682,12 +698,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let listen = args.get("listen").unwrap_or("127.0.0.1:7878");
     let algorithm = algorithm_from(args)?;
     let engine_config = engine_config_from(args)?;
-    let mut strategy: StrategyKind = args.get("strategy").unwrap_or("shared").parse()?;
-    if let Some(n) = args.get("shards") {
-        strategy = StrategyKind::Sharded {
-            shards: n.parse().map_err(|e| format!("bad --shards {n:?}: {e}"))?,
-        };
-    }
+    let strategy = strategy_from(args)?;
 
     let graph =
         graph_io::read_undirected(&mut open_reader(graph_path)?).map_err(|e| e.to_string())?;

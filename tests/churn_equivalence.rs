@@ -20,8 +20,7 @@
 use firehose::core::checkpoint::{checkpoint_multi_to_vec, restore_multi_from_slice};
 use firehose::core::engine::AlgorithmKind;
 use firehose::core::multi::{
-    IndependentMulti, MultiDecision, MultiDiversifier, ParallelShared, ShardedMulti, SharedMulti,
-    Subscriptions,
+    IndependentMulti, MultiDecision, MultiDiversifier, ShardedMulti, SharedMulti, Subscriptions,
 };
 use firehose::core::{EngineConfig, Thresholds};
 use firehose::datagen::{generate_churn_trace, ChurnEvent, ChurnGenConfig, ChurnTraceEntry};
@@ -74,16 +73,13 @@ fn posts(n: u64, first_id: u64, start_ts: u64) -> Vec<Post> {
 enum Variant {
     M,
     S,
-    P(usize),
     Sh(usize),
 }
 
-const VARIANTS: [Variant; 7] = [
+const VARIANTS: [Variant; 5] = [
     Variant::M,
     Variant::S,
-    Variant::P(1),
-    Variant::P(2),
-    Variant::P(4),
+    Variant::Sh(1),
     Variant::Sh(2),
     Variant::Sh(4),
 ];
@@ -104,13 +100,6 @@ fn build(
         ),
         Variant::S => Box::new(
             SharedMulti::builder(kind, config(), &graph, subscriptions)
-                .warm_start(warm)
-                .build()
-                .unwrap(),
-        ),
-        Variant::P(threads) => Box::new(
-            ParallelShared::builder(kind, config(), &graph, subscriptions)
-                .threads(threads)
                 .warm_start(warm)
                 .build()
                 .unwrap(),
@@ -393,7 +382,7 @@ fn checkpoint_across_churn_restores_identical_decisions() {
             ..Default::default()
         },
     );
-    for variant in [Variant::S, Variant::P(2), Variant::Sh(2)] {
+    for variant in [Variant::S, Variant::Sh(2)] {
         let mut original = build(AlgorithmKind::UniBin, variant, subs(), true);
         for post in &first_half {
             original.offer(post);
@@ -425,7 +414,7 @@ fn checkpoint_across_churn_restores_identical_decisions() {
 }
 
 /// Shard-count independence: the engine-state bytes of a churned
-/// `ParallelShared` load into a different thread count (and into
+/// `ShardedMulti` load into a different shard count (and into
 /// `SharedMulti`) with identical future decisions.
 #[test]
 fn churned_state_restores_across_shard_counts() {
@@ -440,7 +429,7 @@ fn churned_state_restores_across_shard_counts() {
             ..Default::default()
         },
     );
-    let mut original = build(AlgorithmKind::UniBin, Variant::P(2), subs(), true);
+    let mut original = build(AlgorithmKind::UniBin, Variant::Sh(2), subs(), true);
     for post in &first_half {
         original.offer(post);
     }
@@ -450,14 +439,14 @@ fn churned_state_restores_across_shard_counts() {
     let mut state = Vec::new();
     original.save_state(&mut state).unwrap();
 
-    for target in [Variant::P(4), Variant::P(1), Variant::S, Variant::Sh(3)] {
+    for target in [Variant::Sh(4), Variant::Sh(1), Variant::S, Variant::Sh(3)] {
         let mut restored = build(AlgorithmKind::UniBin, target, subs(), true);
         let mut r: &[u8] = &state;
         restored.load_state(&mut r).unwrap();
         assert!(r.is_empty(), "state must be consumed exactly");
         assert_eq!(restored.subscriptions(), original.subscriptions());
         let got = offer_all(restored.as_mut(), &second_half);
-        let mut continued = build(AlgorithmKind::UniBin, Variant::P(2), subs(), true);
+        let mut continued = build(AlgorithmKind::UniBin, Variant::Sh(2), subs(), true);
         let mut r: &[u8] = &state;
         continued.load_state(&mut r).unwrap();
         let want = offer_all(continued.as_mut(), &second_half);

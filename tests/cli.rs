@@ -149,6 +149,48 @@ fn helpful_errors() {
 }
 
 #[test]
+fn shards_conflicting_with_strategy_is_rejected() {
+    // Strategy flags are checked before any file is opened.
+    for command in [
+        &[
+            "run",
+            "--posts",
+            "p.tsv",
+            "--graph",
+            "g.fhg",
+            "--subscriptions",
+            "s.tsv",
+        ][..],
+        &["serve", "--graph", "g.fhg", "--subscriptions", "s.tsv"][..],
+    ] {
+        let mut args = command.to_vec();
+        args.extend(["--strategy", "independent", "--shards", "2"]);
+        let err = run_err(&args);
+        assert!(
+            err.contains("--shards 2 conflicts with --strategy independent"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn retired_parallel_strategy_lists_the_remaining_ones() {
+    let err = run_err(&[
+        "serve",
+        "--graph",
+        "g.fhg",
+        "--subscriptions",
+        "s.tsv",
+        "--strategy",
+        "parallel:4",
+    ]);
+    assert!(
+        err.contains("unknown strategy \"parallel:4\" (want independent|shared|sharded[:N])"),
+        "{err}"
+    );
+}
+
+#[test]
 fn run_rejects_mismatched_graph() {
     let dir = TempDir::new("mismatch");
     let posts = dir.path("posts.tsv");

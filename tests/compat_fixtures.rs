@@ -12,6 +12,13 @@
 //! restore into [`MemoryMode::Exact`] with byte-identical re-capture, since
 //! exact-mode snapshots are declared byte-stable across the approx release.
 //!
+//! `fhckpt_p_unibin.bin` is an FHSNAP04 multi checkpoint written by the
+//! batch-parallel `P_UniBin(4)` runner (4 worker threads,
+//! `checkpoint_multi_to_vec`) at the last commit that still had it, just
+//! before the runner was retired in favour of the sharded `Sh_*` runtime.
+//! Its manifest names `P_UniBin(4)`, so it is the only thing that keeps the
+//! `P_` arm of the checkpoint strategy-family check exercised.
+//!
 //! Fixture recipe (frozen; do NOT regenerate with current code): 6-author
 //! graph `[(0,1),(0,5),(3,4)]`, thresholds `(18, 30_000 ms, 0.5)`, posts
 //! `id=i, author=i%6, ts=i*5000, text="content group {i%9}"` for `i in
@@ -23,7 +30,9 @@ use std::sync::Arc;
 
 use firehose::core::checkpoint::restore_multi_from_slice;
 use firehose::core::engine::{AlgorithmKind, CliqueBin, Diversifier, NeighborBin, UniBin};
-use firehose::core::multi::{IndependentMulti, MultiDiversifier, SharedMulti, Subscriptions};
+use firehose::core::multi::{
+    IndependentMulti, MultiDiversifier, ShardedMulti, SharedMulti, Subscriptions,
+};
 use firehose::core::snapshot::{
     restore_cliquebin, restore_neighborbin, restore_unibin, snapshot_cliquebin,
     snapshot_neighborbin, snapshot_unibin,
@@ -162,6 +171,44 @@ fn legacy_multi_checkpoints_restore_and_continue() {
         restored.subscribe(2, 4).unwrap();
         assert_eq!(restored.churn_stats().subscribes, 1, "{name}");
     }
+}
+
+/// A checkpoint written by the retired batch-parallel `P_UniBin(4)` runner
+/// restores into both members of its family — the sharded `Sh_UniBin(2)`
+/// and the sequential `S_UniBin` — and both continue decision-identically
+/// to a fresh sequential run.
+#[test]
+fn legacy_parallel_checkpoint_restores_into_sharded_and_shared() {
+    let stream = posts();
+    let bytes = fixture("fhckpt_p_unibin.bin");
+    let g = UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]);
+
+    let mut sharded = ShardedMulti::new(AlgorithmKind::UniBin, config(), &g, subscriptions(), 2)
+        .expect("two shards");
+    let mut shared = SharedMulti::new(AlgorithmKind::UniBin, config(), &g, subscriptions());
+    for target in [&mut sharded as &mut dyn MultiDiversifier, &mut shared] {
+        let name = target.name();
+        let manifest = restore_multi_from_slice(&bytes, target)
+            .unwrap_or_else(|e| panic!("P_ checkpoint into {name}: {e}"));
+        assert_eq!(manifest.name, "P_UniBin(4)");
+        assert_eq!(manifest.generation, 5, "{name}");
+    }
+
+    let mut fresh = SharedMulti::new(AlgorithmKind::UniBin, config(), &g, subscriptions());
+    for p in &stream[..30] {
+        fresh.offer(p);
+    }
+    let expected: Vec<_> = stream[30..].iter().map(|p| fresh.offer(p)).collect();
+    assert_eq!(
+        sharded.offer_batch(&stream[30..]),
+        expected,
+        "Sh_UniBin(2) diverged after P_ restore"
+    );
+    for (p, want) in stream[30..].iter().zip(&expected) {
+        assert_eq!(&shared.offer(p), want, "S_UniBin diverged at post {}", p.id);
+    }
+    assert_eq!(sharded.metrics(), fresh.metrics());
+    assert_eq!(shared.metrics(), fresh.metrics());
 }
 
 /// FHSNAP04 snapshots captured *before* the approximate-memory release (no
