@@ -14,6 +14,14 @@
 //!   containing `a` and acquires the connected pieces of it minus `a`.
 //! * `add_user` / `remove_user` acquire and release whole decompositions.
 //!
+//! Every op is split into a plan and an apply step. The plan (the public
+//! op methods) updates the subscription table and names the slots the
+//! user releases and the components they acquire, reading no engine; a
+//! no-op or erroring op plans nothing. [`ComponentRegistry::rewire`] then
+//! applies the plan and reports which slots it spawned and retired. The
+//! split lets the sharded runtime recall exactly the released engines in
+//! between; `SharedMulti` applies the plan at once.
+//!
 //! An engine is retired the moment its last user releases it; acquiring a
 //! component another user already holds reuses that user's engine, which is
 //! *exact* (identical component ⇒ identical diversified stream — the
@@ -51,6 +59,27 @@ pub(crate) struct ComponentMeta {
     pub(crate) members: Vec<AuthorId>,
     /// Sorted users whose decomposition contains this exact component.
     pub(crate) users: Vec<UserId>,
+}
+
+/// One churn op's effect on its user's decomposition, planned before any
+/// engine is read: `u` leaves the `released` slots and joins the `acquired`
+/// components. The subscription table already reflects the op.
+pub(crate) struct Rewire {
+    pub(crate) u: UserId,
+    /// Slots `u` leaves; their engines must be in their registry slots when
+    /// the plan is applied.
+    pub(crate) released: Vec<u32>,
+    /// Sorted member lists of the components `u` joins.
+    acquired: Vec<Vec<AuthorId>>,
+}
+
+/// What applying a [`Rewire`] did to the slot table.
+#[derive(Debug, Default)]
+pub(crate) struct RewireDelta {
+    /// Slots whose engines were spawned by the op (all live afterwards).
+    pub(crate) spawned: Vec<u32>,
+    /// Retired slots, each with its component's smallest member.
+    pub(crate) retired: Vec<(u32, AuthorId)>,
 }
 
 /// Refcounted registry of distinct-component engines. Slot ids are stable
@@ -151,7 +180,15 @@ impl ComponentRegistry {
     /// holds it yet. `seeds` (global author ids, `(timestamp, id)` order) are
     /// filtered to the membership and seeded into a *newly spawned* engine
     /// only — an existing engine already has the authoritative window.
-    fn acquire(&mut self, u: UserId, members: Vec<AuthorId>, seeds: &[PostRecord], initial: bool) {
+    /// Returns the slot id if the engine was spawned.
+    fn acquire(
+        &mut self,
+        u: UserId,
+        members: Vec<AuthorId>,
+        seeds: &[PostRecord],
+        initial: bool,
+    ) -> Option<u32> {
+        let mut spawned = None;
         let cid = match self.key_to_id.get(&members) {
             Some(&cid) => cid,
             None => {
@@ -199,6 +236,7 @@ impl ComponentRegistry {
                 } else {
                     self.churn.engines_spawned += 1;
                 }
+                spawned = Some(cid);
                 cid
             }
         };
@@ -207,27 +245,30 @@ impl ComponentRegistry {
             meta.users.insert(pos, u);
             self.user_components[u as usize].push(cid);
         }
+        spawned
     }
 
     /// Detach `u` from slot `cid`; retire the engine if `u` was its last
-    /// user.
-    fn release(&mut self, u: UserId, cid: u32) {
+    /// user, returning the retired component's smallest member.
+    fn release(&mut self, u: UserId, cid: u32) -> Option<AuthorId> {
         self.user_components[u as usize].retain(|&c| c != cid);
         let meta = self.meta[cid as usize].as_mut().expect("live slot");
         meta.users.retain(|&x| x != u);
-        if meta.users.is_empty() {
-            let meta = self.meta[cid as usize].take().expect("live slot");
-            let engine = self.engines[cid as usize].take().expect("live slot");
-            self.live_copies = self
-                .live_copies
-                .saturating_sub(engine.metrics().copies_stored);
-            self.key_to_id.remove(&meta.members);
-            for &a in &meta.members {
-                self.author_components[a as usize].retain(|&c| c != cid);
-            }
-            self.free.push(cid);
-            self.churn.engines_retired += 1;
+        if !meta.users.is_empty() {
+            return None;
         }
+        let meta = self.meta[cid as usize].take().expect("live slot");
+        let engine = self.engines[cid as usize].take().expect("live slot");
+        self.live_copies = self
+            .live_copies
+            .saturating_sub(engine.metrics().copies_stored);
+        self.key_to_id.remove(&meta.members);
+        for &a in &meta.members {
+            self.author_components[a as usize].retain(|&c| c != cid);
+        }
+        self.free.push(cid);
+        self.churn.engines_retired += 1;
+        Some(meta.members[0])
     }
 
     /// Collect the warm-start seed records of the slots in `released`:
@@ -244,22 +285,33 @@ impl ComponentRegistry {
         seeds
     }
 
-    /// Move `u` from the `released` slots to the `acquired` component
-    /// member lists. Seeds are gathered from the released engines *before*
-    /// any of them can be retired.
-    fn rewire(&mut self, u: UserId, released: &[u32], acquired: &[Vec<AuthorId>]) {
+    /// Apply a planned op: move its user from the released slots to the
+    /// acquired components. Seeds are gathered from the released engines
+    /// *before* any of them can be retired; no other engine is read.
+    pub(crate) fn rewire(&mut self, plan: &Rewire) -> RewireDelta {
+        let Rewire {
+            u,
+            released,
+            acquired,
+        } = plan;
         let need_spawn = acquired.iter().any(|m| !self.key_to_id.contains_key(m));
         let seeds = if self.warm_start && need_spawn && !released.is_empty() {
             self.collect_seeds(released)
         } else {
             Vec::new()
         };
+        let mut delta = RewireDelta::default();
         for members in acquired {
-            self.acquire(u, members.clone(), &seeds, false);
+            delta
+                .spawned
+                .extend(self.acquire(*u, members.clone(), &seeds, false));
         }
         for &cid in released {
-            self.release(u, cid);
+            if let Some(first) = self.release(*u, cid) {
+                delta.retired.push((cid, first));
+            }
         }
+        delta
     }
 
     /// The connected component containing `x` in the subgraph induced on the
@@ -280,10 +332,15 @@ impl ComponentRegistry {
         members
     }
 
-    /// Add a follow edge; merges the affected components of `u`.
-    pub(crate) fn subscribe(&mut self, u: UserId, a: AuthorId) -> Result<bool, SubscriptionError> {
+    /// Add a follow edge; plans the merge of the affected components of
+    /// `u`. `Ok(None)` if already subscribed (a no-op).
+    pub(crate) fn subscribe(
+        &mut self,
+        u: UserId,
+        a: AuthorId,
+    ) -> Result<Option<Rewire>, SubscriptionError> {
         if !self.subscriptions.subscribe(u, a)? {
-            return Ok(false);
+            return Ok(None);
         }
         let authors = self.subscriptions.authors_of(u);
         let merged = self.component_containing(authors, a);
@@ -298,19 +355,23 @@ impl ComponentRegistry {
                 merged.binary_search(&members[0]).is_ok()
             })
             .collect();
-        self.rewire(u, &absorbed, std::slice::from_ref(&merged));
         self.churn.subscribes += 1;
-        Ok(true)
+        Ok(Some(Rewire {
+            u,
+            released: absorbed,
+            acquired: vec![merged],
+        }))
     }
 
-    /// Drop a follow edge; splits the affected component of `u`.
+    /// Drop a follow edge; plans the split of the affected component of
+    /// `u`. `Ok(None)` if not subscribed (a no-op).
     pub(crate) fn unsubscribe(
         &mut self,
         u: UserId,
         a: AuthorId,
-    ) -> Result<bool, SubscriptionError> {
+    ) -> Result<Option<Rewire>, SubscriptionError> {
         if !self.subscriptions.unsubscribe(u, a)? {
-            return Ok(false);
+            return Ok(None);
         }
         let cid = self.user_components[u as usize]
             .iter()
@@ -332,31 +393,39 @@ impl ComponentRegistry {
             .copied()
             .filter(|&m| m != a)
             .collect();
-        let pieces = user_components(&self.graph, &remaining);
-        self.rewire(u, &[cid], &pieces);
         self.churn.unsubscribes += 1;
-        Ok(true)
+        Ok(Some(Rewire {
+            u,
+            released: vec![cid],
+            acquired: user_components(&self.graph, &remaining),
+        }))
     }
 
-    /// Register a new user; cold-spawns engines for genuinely new
-    /// components (a brand-new user has no predecessor window to inherit).
-    pub(crate) fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
+    /// Register a new user (the plan's `u`); plans cold spawns for
+    /// genuinely new components (a brand-new user has no predecessor window
+    /// to inherit).
+    pub(crate) fn add_user(&mut self, authors: &[AuthorId]) -> Result<Rewire, SubscriptionError> {
         let u = self.subscriptions.add_user(authors)?;
         self.user_components
             .resize(self.subscriptions.user_count(), Vec::new());
-        let pieces = user_components(&self.graph, self.subscriptions.authors_of(u));
-        self.rewire(u, &[], &pieces);
         self.churn.users_added += 1;
-        Ok(u)
+        Ok(Rewire {
+            u,
+            released: Vec::new(),
+            acquired: user_components(&self.graph, self.subscriptions.authors_of(u)),
+        })
     }
 
-    /// Tombstone a user, retiring every engine they were the last user of.
-    pub(crate) fn remove_user(&mut self, u: UserId) -> Result<(), SubscriptionError> {
+    /// Tombstone a user; plans the retirement of every engine they were
+    /// the last user of.
+    pub(crate) fn remove_user(&mut self, u: UserId) -> Result<Rewire, SubscriptionError> {
         self.subscriptions.remove_user(u)?;
-        let released = std::mem::take(&mut self.user_components[u as usize]);
-        self.rewire(u, &released, &[]);
         self.churn.users_removed += 1;
-        Ok(())
+        Ok(Rewire {
+            u,
+            released: std::mem::take(&mut self.user_components[u as usize]),
+            acquired: Vec::new(),
+        })
     }
 
     /// Evict expired records from every live engine and recompute the
@@ -499,6 +568,29 @@ mod tests {
         ComponentRegistry::new(AlgorithmKind::UniBin, config(), graph, subs, true)
     }
 
+    // Plan-and-apply wrappers: the way `SharedMulti` runs each op.
+
+    fn subscribe(reg: &mut ComponentRegistry, u: UserId, a: AuthorId) -> bool {
+        let plan = reg.subscribe(u, a).unwrap();
+        plan.map(|p| reg.rewire(&p)).is_some()
+    }
+
+    fn unsubscribe(reg: &mut ComponentRegistry, u: UserId, a: AuthorId) -> bool {
+        let plan = reg.unsubscribe(u, a).unwrap();
+        plan.map(|p| reg.rewire(&p)).is_some()
+    }
+
+    fn add_user(reg: &mut ComponentRegistry, authors: &[AuthorId]) -> UserId {
+        let plan = reg.add_user(authors).unwrap();
+        reg.rewire(&plan);
+        plan.u
+    }
+
+    fn remove_user(reg: &mut ComponentRegistry, u: UserId) {
+        let plan = reg.remove_user(u).unwrap();
+        reg.rewire(&plan);
+    }
+
     #[test]
     fn initial_decomposition_matches_shared_multi() {
         let reg = figure7_registry();
@@ -523,17 +615,17 @@ mod tests {
         assert_eq!(reg.churn.initial_engines, 3);
         // Retire everything churn can reach: both users removed retires all
         // three initial engines without a single churn spawn.
-        reg.remove_user(0).unwrap();
-        reg.remove_user(1).unwrap();
+        remove_user(&mut reg, 0);
+        remove_user(&mut reg, 1);
         let c = reg.churn;
         assert_eq!(c.engines_retired, 3);
         assert_eq!(c.engines_spawned, 0);
         assert!(c.engines_retired <= c.engines_spawned + c.initial_engines);
         // And a churny sequence keeps the invariant.
-        let u = reg.add_user(&[0, 1, 3]).unwrap();
-        reg.subscribe(u, 5).unwrap();
-        reg.unsubscribe(u, 0).unwrap();
-        reg.remove_user(u).unwrap();
+        let u = add_user(&mut reg, &[0, 1, 3]);
+        subscribe(&mut reg, u, 5);
+        unsubscribe(&mut reg, u, 0);
+        remove_user(&mut reg, u);
         let c = reg.churn;
         assert!(
             c.engines_retired <= c.engines_spawned + c.initial_engines,
@@ -546,7 +638,7 @@ mod tests {
         let mut reg = figure7_registry();
         // u0 follows 4: {3} and {4} merge into {3,4}, which u1 already
         // holds — no spawn, {3} retired.
-        assert!(reg.subscribe(0, 4).unwrap());
+        assert!(subscribe(&mut reg, 0, 4));
         assert_eq!(reg.component_count(), 2);
         assert_eq!(reg.churn.subscribes, 1);
         assert_eq!(reg.churn.engines_spawned, 0);
@@ -561,7 +653,7 @@ mod tests {
         let mut reg = figure7_registry();
         // u1 drops 0: {0,1,5} splits into {1} and {5} for u1; u0 keeps
         // {0,1,5} so it survives.
-        assert!(reg.unsubscribe(1, 0).unwrap());
+        assert!(unsubscribe(&mut reg, 1, 0));
         assert_eq!(reg.component_count(), 5); // {0,1,5}, {3}, {3,4}, {1}, {5}
         assert_eq!(reg.churn.engines_spawned, 2);
         assert_eq!(reg.churn.engines_retired, 0);
@@ -571,13 +663,13 @@ mod tests {
     #[test]
     fn remove_user_retires_exclusive_engines() {
         let mut reg = figure7_registry();
-        reg.remove_user(1).unwrap();
+        remove_user(&mut reg, 1);
         // u1's exclusive {3,4} retired; shared {0,1,5} and {3} survive.
         assert_eq!(reg.component_count(), 2);
         assert_eq!(reg.churn.engines_retired, 1);
         // Slot recycling: a new singleton reuses the freed slot.
         let freed = reg.free.clone();
-        let u = reg.add_user(&[4]).unwrap();
+        let u = add_user(&mut reg, &[4]);
         assert_eq!(u, 2);
         assert_eq!(reg.component_count(), 3);
         assert!(freed.iter().any(|&c| reg.meta[c as usize].is_some()));
@@ -586,7 +678,7 @@ mod tests {
     #[test]
     fn duplicate_edge_is_a_noop() {
         let mut reg = figure7_registry();
-        assert!(!reg.subscribe(0, 1).unwrap());
+        assert!(!subscribe(&mut reg, 0, 1));
         assert_eq!(reg.component_count(), 3);
         assert_eq!(reg.churn.subscribes, 0);
     }

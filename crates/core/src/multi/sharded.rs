@@ -17,10 +17,18 @@
 //!   for shard `cid % shards`, shipped over that shard's bounded SPSC
 //!   request ring (the `ring` module); the registry's engine slots are
 //!   empty.
-//! * **parked** (churn/restore): all engines are recalled into their
-//!   registry slots, the *unchanged* sequential churn machinery runs
-//!   (merge/split re-homing through the existing warm-start path), and the
-//!   surviving engines are redeployed.
+//! * **parked**: an engine sits in its registry slot on the control
+//!   thread.
+//!
+//! A churn op touches only the components of the one user it names (the
+//! same independence argument), so churn is **component-local**: the
+//! registry plans the op without reading an engine, the control thread
+//! recalls just the released engines from their owning shards, the
+//! *unchanged* sequential machinery runs (merge/split re-homing through
+//! the warm-start path), and only what is parked afterwards — the
+//! surviving released engines and the spawned ones — is redeployed. The
+//! metrics cache and occupancy gauges follow incrementally. The full park
+//! (every engine recalled) is kept for heals and `load_state` only.
 //!
 //! ## Offer protocol
 //!
@@ -62,7 +70,7 @@
 //! panics and stalls mid-request for resilience tests and
 //! `resilience_bench`.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,7 +84,7 @@ use crate::config::EngineConfig;
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::independent::CompactEngine;
-use crate::multi::registry::ComponentRegistry;
+use crate::multi::registry::{ComponentRegistry, Rewire, RewireDelta};
 use crate::multi::ring::{spsc, Doorbell, SpscReceiver, SpscSender};
 use crate::multi::subscriptions::{SubscriptionError, Subscriptions, UserId};
 use crate::multi::{
@@ -115,8 +123,9 @@ enum Req {
         cid: u32,
         engine: Box<CompactEngine>,
     },
-    /// Ship every owned engine back ([`Resp::Engine`] each).
-    Recall,
+    /// Ship the named engines back ([`Resp::Engine`] each; names this
+    /// shard does not own are skipped), then answer [`Resp::Recalled`].
+    Recall { cids: Vec<u32> },
     /// Serialize every owned engine ([`Resp::Blob`] each).
     SaveBlobs,
     /// Exit the worker loop.
@@ -203,10 +212,11 @@ impl Delta {
     }
 }
 
-/// Control-side sum of the deployed engines' non-peak counters: rebuilt
-/// from the engines at every deploy, advanced by response [`Delta`]s while
-/// they are away. Makes [`ShardedMulti::metrics`] O(1) — required because
-/// the checkpoint manager polls it after every post.
+/// Control-side sum of the deployed engines' non-peak counters: added to
+/// at every deploy, subtracted at every local recall, emptied by the full
+/// park, and advanced by response [`Delta`]s while the engines are away.
+/// Makes [`ShardedMulti::metrics`] O(1) — required because the checkpoint
+/// manager polls it after every post.
 #[derive(Debug, Clone, Copy, Default)]
 struct CounterCache {
     posts_processed: u64,
@@ -225,6 +235,15 @@ impl CounterCache {
         self.insertions += m.insertions;
         self.evictions += m.evictions;
         self.copies_stored += m.copies_stored;
+    }
+
+    fn remove(&mut self, m: &EngineMetrics) {
+        self.posts_processed -= m.posts_processed;
+        self.posts_emitted -= m.posts_emitted;
+        self.comparisons -= m.comparisons;
+        self.insertions -= m.insertions;
+        self.evictions -= m.evictions;
+        self.copies_stored -= m.copies_stored;
     }
 
     fn apply(&mut self, d: &Delta) {
@@ -415,7 +434,7 @@ pub struct ShardedMulti {
     /// O(1) metrics cache for the deployed engines.
     cache: CounterCache,
     /// Churn-spawned engines whose warm-start seeds came from a retired
-    /// engine on a different shard (approximate — see `count_re_homes`).
+    /// engine on a different shard (see `count_re_homes`).
     re_homes: u64,
     /// Worker respawns over this strategy's lifetime.
     restarts: u64,
@@ -473,10 +492,12 @@ impl ShardedMulti {
         self.shard_obs = (0..self.shards)
             .map(|s| ShardedObs::register(registry, &name, s))
             .collect();
-        // Publish the current occupancy immediately.
+        // Publish the current occupancy immediately; from here on deploys
+        // and recalls adjust it.
         let mut occupancy = vec![0i64; self.shards];
-        for (cid, meta) in self.registry.meta.iter().enumerate() {
-            if meta.is_some() {
+        let reg = &self.registry;
+        for (cid, (meta, engine)) in reg.meta.iter().zip(&reg.engines).enumerate() {
+            if meta.is_some() && engine.is_none() {
                 occupancy[cid % self.shards] += 1;
             }
         }
@@ -729,27 +750,26 @@ impl ShardedMulti {
         debug_assert!(out.delivered_to.windows(2).all(|w| w[0] != w[1]));
     }
 
-    /// Ship every parked engine to its shard (`cid % shards`) and rebuild
-    /// the O(1) metrics cache from their counters. Returns `false` without
-    /// setting the deployed flag when a worker is (or goes) dead: the
-    /// in-hand engine returns to its slot, already-shipped engines stay out
-    /// and are reclaimed by the next `park`.
-    fn deploy(&mut self) -> bool {
+    /// Ship the parked engines among `cids` to their shards (`cid %
+    /// shards`), adding their counters to the metrics cache and their count
+    /// to the occupancy gauges; slots in `cids` holding no engine are
+    /// skipped. Returns `false` without setting the deployed flag when a
+    /// worker is (or goes) dead: the in-hand engine returns to its slot,
+    /// already-shipped engines stay out and are reclaimed by the next
+    /// `park`.
+    fn deploy(&mut self, cids: impl IntoIterator<Item = u32>) -> bool {
         debug_assert!(!self.deployed);
         if self.any_dead() {
             return false;
         }
-        let mut cache = CounterCache::default();
-        let mut occupancy = vec![0i64; self.shards];
-        for cid in 0..self.registry.engines.len() {
-            let Some(engine) = self.registry.engines[cid].take() else {
+        for cid in cids {
+            let Some(engine) = self.registry.engines[cid as usize].take() else {
                 continue;
             };
-            cache.absorb(engine.metrics());
-            let shard = cid % self.shards;
-            occupancy[shard] += 1;
+            let metrics = *engine.metrics();
+            let shard = cid as usize % self.shards;
             let mut req = Req::Deploy {
-                cid: cid as u32,
+                cid,
                 engine: Box::new(engine),
             };
             loop {
@@ -760,7 +780,7 @@ impl ShardedMulti {
                             let Req::Deploy { engine, .. } = r else {
                                 unreachable!("deploy pushes only Deploy requests")
                             };
-                            self.registry.engines[cid] = Some(*engine);
+                            self.registry.engines[cid as usize] = Some(*engine);
                             return false;
                         }
                         req = r;
@@ -769,35 +789,46 @@ impl ShardedMulti {
                 }
             }
             self.links[shard].bell.ring();
+            self.cache.absorb(&metrics);
+            if let Some(o) = self.shard_obs.get(shard) {
+                o.engines.add(1);
+            }
         }
-        self.cache = cache;
         self.deployed = true;
-        for (o, n) in self.shard_obs.iter().zip(occupancy) {
-            o.engines.set(n);
-        }
         true
     }
 
-    /// Recall every deployed engine on every live shard into its registry
-    /// slot; dead shards are skipped (their engines died with them — the
-    /// supervisor rebuilds them) and stale offer/sweep/blob responses
-    /// abandoned by a failure are dropped. After this the registry is
-    /// authoritative for every engine that survived.
+    /// [`deploy`](Self::deploy) every parked engine.
+    fn deploy_all(&mut self) -> bool {
+        self.deploy(0..self.registry.engines.len() as u32)
+    }
+
+    /// Send one [`Req::Recall`] naming `wanted[shard]` to each live shard —
+    /// to every live shard when `every_shard`, otherwise only to shards
+    /// with something wanted — and receive until each addressed shard has
+    /// answered or died. Recalled engines land in their registry slots;
+    /// stale offer/sweep/blob responses abandoned by a failure are dropped.
+    /// Returns whether every addressed shard answered.
     ///
     /// Pushes here use a dedicated retry loop, not [`push_req`]: earlier
     /// shards may already be streaming [`Resp::Engine`]s back while later
     /// `Recall`s are still being pushed, and the offer-path
-    /// [`drain_responses`] rejects engine responses by design. Each live
-    /// shard closes its recall with a [`Resp::Recalled`] barrier, so when
-    /// every live shard has answered, nothing of the pre-park era is left
-    /// in any ring.
-    fn park(&mut self) {
-        let mut done = vec![false; self.shards];
+    /// [`drain_responses`] rejects engine responses by design. Each
+    /// addressed shard closes its recall with a [`Resp::Recalled`] barrier,
+    /// so once it has answered, nothing it sent earlier is left in its
+    /// ring.
+    fn recall(&mut self, mut wanted: Vec<Vec<u32>>, every_shard: bool) -> bool {
+        let mut done = vec![true; self.shards];
         for shard in 0..self.shards {
-            if self.health[shard].dead.load(Ordering::SeqCst) {
+            if self.health[shard].dead.load(Ordering::SeqCst)
+                || (!every_shard && wanted[shard].is_empty())
+            {
                 continue;
             }
-            let mut req = Req::Recall;
+            done[shard] = false;
+            let mut req = Req::Recall {
+                cids: std::mem::take(&mut wanted[shard]),
+            };
             loop {
                 match self.links[shard].req.try_push(req) {
                     Ok(()) => break,
@@ -836,13 +867,32 @@ impl ShardedMulti {
                 &mut done,
             );
             if (0..self.shards).all(|s| done[s] || dead[s]) {
-                break;
+                return done.iter().all(|&d| d);
             }
             if !progress {
                 std::thread::yield_now();
             }
         }
+    }
+
+    /// Recall every deployed engine on every live shard into its registry
+    /// slot; dead shards are skipped (their engines died with them — the
+    /// supervisor rebuilds them). Every live shard is addressed, so its
+    /// barrier also flushes stale responses. After this the registry is
+    /// authoritative for every engine that survived, and the metrics cache
+    /// and occupancy gauges restart from empty (lost engines and dropped
+    /// responses never reach them; `deploy` re-adds what ships).
+    fn park(&mut self) {
+        let mut wanted = vec![Vec::new(); self.shards];
+        let reg = &self.registry;
+        for (cid, (meta, engine)) in reg.meta.iter().zip(&reg.engines).enumerate() {
+            if meta.is_some() && engine.is_none() {
+                wanted[cid % self.shards].push(cid as u32);
+            }
+        }
+        self.recall(wanted, true);
         self.deployed = false;
+        self.cache = CounterCache::default();
         for o in &self.shard_obs {
             o.engines.set(0);
         }
@@ -981,7 +1031,7 @@ impl ShardedMulti {
         for _ in 0..MAX_RESTART_STORM {
             self.heal_parked(lost_posts);
             lost_posts = 0; // counted once
-            if self.deploy() {
+            if self.deploy_all() {
                 return;
             }
         }
@@ -1040,7 +1090,7 @@ impl ShardedMulti {
     /// Recover the deployed invariant — after a failed restore left the
     /// engine parked, or after a worker death that has not yet been healed.
     fn ensure_deployed(&mut self) {
-        if self.any_dead() || (!self.deployed && !self.deploy()) {
+        if self.any_dead() || (!self.deployed && !self.deploy_all()) {
             self.recover_and_redeploy(0);
         }
     }
@@ -1059,51 +1109,69 @@ impl ShardedMulti {
         self.recover(pending);
     }
 
-    /// Park (healing any dead workers first), run a churn operation against
-    /// the sequential registry machinery, count cross-shard re-homes, and
-    /// redeploy.
-    fn with_parked<R>(&mut self, f: impl FnOnce(&mut ComponentRegistry) -> R) -> R {
-        self.heal_parked(0);
-        let before: Vec<(u32, AuthorId)> = self
-            .registry
-            .meta
-            .iter()
-            .enumerate()
-            .filter_map(|(cid, m)| m.as_ref().map(|m| (cid as u32, m.members[0])))
-            .collect();
-        let result = f(&mut self.registry);
-        self.count_re_homes(&before);
-        if !self.deploy() {
+    /// Run a planned churn op component-locally: recall only its released
+    /// engines from their owning shards, apply the plan with the unchanged
+    /// registry logic, count cross-shard re-homes, and redeploy only what
+    /// is parked — the surviving released engines plus the spawned ones. A
+    /// worker death seen before or during the recall falls back to the full
+    /// heal before the op runs; everything is parked and redeployed then.
+    /// So does an op on a fleet left parked by a failed restore.
+    fn churn(&mut self, plan: &Rewire) {
+        let local = self.deployed && !self.any_dead() && self.recall_released(&plan.released);
+        self.deployed = false;
+        if !local {
+            self.heal_parked(0);
+        }
+        let delta = self.registry.rewire(plan);
+        self.count_re_homes(&delta);
+        let shipped = if local {
+            self.deploy(plan.released.iter().chain(&delta.spawned).copied())
+        } else {
+            self.deploy_all()
+        };
+        if !shipped {
             self.recover_and_redeploy(0);
         }
-        result
+    }
+
+    /// Recall the `released` engines into their registry slots and take
+    /// them out of the metrics cache and occupancy gauges. Returns `false`
+    /// if an owning shard died first; the caller heals.
+    fn recall_released(&mut self, released: &[u32]) -> bool {
+        let mut wanted = vec![Vec::new(); self.shards];
+        for &cid in released {
+            wanted[cid as usize % self.shards].push(cid);
+        }
+        if !self.recall(wanted, false) {
+            return false;
+        }
+        for &cid in released {
+            let engine = self.registry.engines[cid as usize]
+                .as_ref()
+                .expect("released engine was recalled");
+            self.cache.remove(engine.metrics());
+            if let Some(o) = self.shard_obs.get(cid as usize % self.shards) {
+                o.engines.add(-1);
+            }
+        }
+        true
     }
 
     /// Count engines spawned by the last churn op whose warm-start seeds
-    /// came from a retired engine on a different shard. A merged component
-    /// contains each absorbed component's smallest member (the registry's
-    /// own absorption test), so "retired first member ∈ new members" is the
-    /// seed-provenance signal. Approximate when a freed slot is recycled
-    /// within the same operation.
-    fn count_re_homes(&mut self, before: &[(u32, AuthorId)]) {
-        let retired: Vec<(u32, AuthorId)> = before
-            .iter()
-            .copied()
-            .filter(|&(cid, _)| self.registry.meta[cid as usize].is_none())
-            .collect();
-        if retired.is_empty() {
-            return;
-        }
-        let live_before: HashSet<u32> = before.iter().map(|&(cid, _)| cid).collect();
-        for (cid, meta) in self.registry.meta.iter().enumerate() {
-            let Some(meta) = meta else { continue };
-            if live_before.contains(&(cid as u32)) {
-                continue;
-            }
-            let new_shard = cid % self.shards;
-            let moved = retired.iter().any(|&(old, first)| {
-                old as usize % self.shards != new_shard
-                    && meta.members.binary_search(&first).is_ok()
+    /// came from an engine the op retired on a different shard. A merged
+    /// component contains each absorbed component's smallest member (the
+    /// registry's own absorption test), so "retired first member ∈ new
+    /// members" is the seed-provenance signal. An op spawns before it
+    /// releases, so a spawned slot is never one the same op retired.
+    fn count_re_homes(&mut self, delta: &RewireDelta) {
+        for &cid in &delta.spawned {
+            let new_shard = cid as usize % self.shards;
+            let members = &self.registry.meta[cid as usize]
+                .as_ref()
+                .expect("spawned slot is live")
+                .members;
+            let moved = delta.retired.iter().any(|&(old, first)| {
+                old as usize % self.shards != new_shard && members.binary_search(&first).is_ok()
             });
             if moved {
                 self.re_homes += 1;
@@ -1156,7 +1224,7 @@ fn drain_responses(
     progress
 }
 
-/// Pop every available response during a park. Engines land in their
+/// Pop every available response during a recall. Engines land in their
 /// registry slots; [`Resp::Recalled`] barriers mark their shard done; stale
 /// offer/sweep/blob responses abandoned by an aborted batch or a failed
 /// save are dropped (the posts they belong to were already written off).
@@ -1316,8 +1384,11 @@ fn worker_run(
             Req::Deploy { cid, engine } => {
                 engines.insert(cid, *engine);
             }
-            Req::Recall => {
-                for (cid, engine) in engines.drain() {
+            Req::Recall { cids } => {
+                for cid in cids {
+                    let Some(engine) = engines.remove(&cid) else {
+                        continue;
+                    };
                     if !respond(Resp::Engine {
                         cid,
                         engine: Box::new(engine),
@@ -1461,19 +1532,25 @@ impl MultiDiversifier for ShardedMulti {
     }
 
     fn subscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.with_parked(|reg| reg.subscribe(user, author))
+        let plan = self.registry.subscribe(user, author)?;
+        Ok(plan.map(|p| self.churn(&p)).is_some())
     }
 
     fn unsubscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.with_parked(|reg| reg.unsubscribe(user, author))
+        let plan = self.registry.unsubscribe(user, author)?;
+        Ok(plan.map(|p| self.churn(&p)).is_some())
     }
 
     fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
-        self.with_parked(|reg| reg.add_user(authors))
+        let plan = self.registry.add_user(authors)?;
+        self.churn(&plan);
+        Ok(plan.u)
     }
 
     fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
-        self.with_parked(|reg| reg.remove_user(user))
+        let plan = self.registry.remove_user(user)?;
+        self.churn(&plan);
+        Ok(())
     }
 
     fn churn_stats(&self) -> ChurnStats {
@@ -1575,7 +1652,7 @@ impl MultiDiversifier for ShardedMulti {
     ) -> Result<(), crate::snapshot::SnapshotError> {
         self.heal_parked(0);
         let result = self.registry.load_state(r);
-        if result.is_ok() && !self.deploy() {
+        if result.is_ok() && !self.deploy_all() {
             self.recover_and_redeploy(0);
         }
         // On error we stay parked; the next operation redeploys whatever
@@ -1732,6 +1809,29 @@ mod tests {
         }
     }
 
+    /// A failed restore leaves the fleet parked; a churn op there must take
+    /// the full path (nothing to recall, everything to redeploy) and keep
+    /// the metrics cache exact.
+    #[test]
+    fn churn_after_failed_restore_matches_sequential() {
+        let (graph, subs) = figure7();
+        let stream = posts(60);
+        let mut seq = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone());
+        let mut sh =
+            ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone(), 2).unwrap();
+        for post in &stream[..30] {
+            assert_eq!(seq.offer(post), sh.offer(post));
+        }
+        assert!(seq.load_state(&mut &b"not a state"[..]).is_err());
+        assert!(sh.load_state(&mut &b"not a state"[..]).is_err());
+        assert_eq!(seq.subscribe(0, 4).unwrap(), sh.subscribe(0, 4).unwrap());
+        assert_eq!(seq.metrics(), sh.metrics());
+        for post in &stream[30..] {
+            assert_eq!(seq.offer(post), sh.offer(post));
+        }
+        assert_eq!(seq.metrics(), sh.metrics());
+    }
+
     #[test]
     fn churn_matches_sequential() {
         let (graph, subs) = figure7();
@@ -1862,7 +1962,18 @@ mod tests {
         for post in &stream {
             sh.offer(post);
         }
+        // The occupancy gauges follow each op kind incrementally and must
+        // account for every live engine after each.
+        let occupancy =
+            |sh: &ShardedMulti| -> i64 { sh.shard_obs.iter().map(|o| o.engines.get()).sum() };
+        sh.unsubscribe(1, 0).unwrap();
+        assert_eq!(occupancy(&sh) as usize, sh.component_count(), "unsubscribe");
+        let u = sh.add_user(&[2, 3]).unwrap();
+        assert_eq!(occupancy(&sh) as usize, sh.component_count(), "add_user");
+        sh.remove_user(u).unwrap();
+        assert_eq!(occupancy(&sh) as usize, sh.component_count(), "remove_user");
         sh.subscribe(0, 4).unwrap();
+        assert_eq!(occupancy(&sh) as usize, sh.component_count(), "subscribe");
         let text = registry.render_prometheus();
         // Rings fully drained between posts.
         for shard in 0..2 {
@@ -1876,8 +1987,7 @@ mod tests {
             );
         }
         // Occupancy gauges account for every live engine.
-        let occupancy: i64 = sh.shard_obs.iter().map(|o| o.engines.get()).sum();
-        assert_eq!(occupancy as usize, sh.component_count());
+        assert_eq!(occupancy(&sh) as usize, sh.component_count());
         // Offer latency recorded per post.
         assert_eq!(
             sh.obs.as_ref().unwrap().offer_latency.count(),
@@ -2027,6 +2137,103 @@ mod tests {
         assert!(
             sh.re_homes() > 0,
             "merging singletons across slots must cross a shard boundary at 2 shards"
+        );
+    }
+
+    /// Requests the workers have handled, summed over shards, once their
+    /// heartbeats stop moving (the op under test has already pushed
+    /// everything it will; only its deploys may still be in flight).
+    fn settled_requests(sh: &ShardedMulti) -> u64 {
+        let mut last: u64 = sh.heartbeats().iter().sum();
+        let mut stable = 0;
+        while stable < 5 {
+            std::thread::sleep(Duration::from_millis(2));
+            let now: u64 = sh.heartbeats().iter().sum();
+            if now == last {
+                stable += 1;
+            } else {
+                (last, stable) = (now, 0);
+            }
+        }
+        last
+    }
+
+    /// Component-local churn: each op makes the workers handle requests
+    /// bounded by the engines it touches (one recall per owning shard, one
+    /// deploy per surviving released or spawned engine), whatever the
+    /// number of components; no-op and erroring ops send nothing.
+    #[test]
+    fn churn_requests_scale_with_touched_engines_only() {
+        let mut deltas_by_size = Vec::new();
+        for paths in [16u32, 256] {
+            // Disjoint paths 3i - 3i+1 - 3i+2; user i follows both ends of
+            // path i, so every user holds two singleton components.
+            let authors = 3 * paths as usize;
+            let graph = UndirectedGraph::from_edges(
+                authors,
+                (0..paths).flat_map(|i| [(3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2)]),
+            );
+            let sets: Vec<_> = (0..paths).map(|i| vec![3 * i, 3 * i + 2]).collect();
+            let subs = Subscriptions::new(authors, sets).unwrap();
+            let mut sh =
+                ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs, 2).unwrap();
+            assert_eq!(sh.component_count(), 2 * paths as usize);
+            let mut deltas = Vec::new();
+            let mut measure = |sh: &mut ShardedMulti,
+                               what: &str,
+                               touched: u64,
+                               spawned: u64,
+                               op: &dyn Fn(&mut ShardedMulti)| {
+                let before = settled_requests(sh);
+                let churn = sh.churn_stats();
+                op(sh);
+                let delta = settled_requests(sh) - before;
+                let after = sh.churn_stats();
+                assert_eq!(
+                    after.engines_spawned - churn.engines_spawned,
+                    spawned,
+                    "{what}: spawned"
+                );
+                // At most one recall per touched engine's shard, and one
+                // deploy per touched engine that survives or is spawned.
+                assert!(
+                    delta <= 2 * touched + spawned,
+                    "{what} at {paths} paths: {delta} requests for {touched} touched \
+                     and {spawned} spawned engines"
+                );
+                deltas.push(delta);
+            };
+            // Merge both ends of path 0 through its middle author.
+            measure(&mut sh, "subscribe", 2, 1, &|sh| {
+                assert!(sh.subscribe(0, 1).unwrap());
+            });
+            // Split it again.
+            measure(&mut sh, "unsubscribe", 1, 2, &|sh| {
+                assert!(sh.unsubscribe(0, 1).unwrap());
+            });
+            measure(&mut sh, "add_user", 0, 1, &|sh| {
+                sh.add_user(&[4]).unwrap();
+            });
+            measure(&mut sh, "remove_user", 2, 0, &|sh| {
+                sh.remove_user(1).unwrap();
+            });
+            // Ops that change nothing touch nothing.
+            measure(&mut sh, "duplicate subscribe", 0, 0, &|sh| {
+                assert!(!sh.subscribe(0, 0).unwrap());
+            });
+            measure(&mut sh, "unknown author", 0, 0, &|sh| {
+                assert!(sh.subscribe(0, authors as AuthorId).is_err());
+            });
+            measure(&mut sh, "inactive user", 0, 0, &|sh| {
+                assert!(sh.subscribe(1, 0).is_err());
+                assert!(sh.remove_user(1).is_err());
+            });
+            assert_eq!(&deltas[4..], [0, 0, 0], "no-op and erroring ops");
+            deltas_by_size.push(deltas);
+        }
+        assert_eq!(
+            deltas_by_size[0], deltas_by_size[1],
+            "requests per op must not depend on the component count"
         );
     }
 }

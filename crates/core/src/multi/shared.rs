@@ -197,20 +197,29 @@ impl MultiDiversifier for SharedMulti {
         debug_assert!(out.delivered_to.windows(2).all(|w| w[0] != w[1]));
     }
 
+    // Engines never leave their registry slots here, so every planned op
+    // is applied at once.
+
     fn subscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.registry.subscribe(user, author)
+        let plan = self.registry.subscribe(user, author)?;
+        Ok(plan.map(|p| self.registry.rewire(&p)).is_some())
     }
 
     fn unsubscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.registry.unsubscribe(user, author)
+        let plan = self.registry.unsubscribe(user, author)?;
+        Ok(plan.map(|p| self.registry.rewire(&p)).is_some())
     }
 
     fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
-        self.registry.add_user(authors)
+        let plan = self.registry.add_user(authors)?;
+        self.registry.rewire(&plan);
+        Ok(plan.u)
     }
 
     fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
-        self.registry.remove_user(user)
+        let plan = self.registry.remove_user(user)?;
+        self.registry.rewire(&plan);
+        Ok(())
     }
 
     fn churn_stats(&self) -> ChurnStats {

@@ -307,6 +307,20 @@ pub enum ChurnOp {
     RemoveUser(UserId),
 }
 
+impl ChurnOp {
+    /// Run this op against `multi`, dropping its result detail (the
+    /// no-op flag or the new user id). The one dispatch from op to
+    /// strategy, shared by live application and heal replay.
+    pub fn apply_to(&self, multi: &mut dyn MultiDiversifier) -> Result<(), SubscriptionError> {
+        match self {
+            Self::Subscribe(u, a) => multi.subscribe(*u, *a).map(|_| ()),
+            Self::Unsubscribe(u, a) => multi.unsubscribe(*u, *a).map(|_| ()),
+            Self::AddUser(authors) => multi.add_user(authors).map(|_| ()),
+            Self::RemoveUser(u) => multi.remove_user(*u),
+        }
+    }
+}
+
 impl std::fmt::Display for ChurnOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -1039,12 +1053,7 @@ impl FirehoseService {
                     // The op succeeded against this same state the first
                     // time; a re-application error would mean checkpoint
                     // divergence, which load_state already validates.
-                    let _ = match op {
-                        ChurnOp::Subscribe(u, a) => self.multi.subscribe(*u, *a).map(|_| ()),
-                        ChurnOp::Unsubscribe(u, a) => self.multi.unsubscribe(*u, *a).map(|_| ()),
-                        ChurnOp::AddUser(authors) => self.multi.add_user(authors).map(|_| ()),
-                        ChurnOp::RemoveUser(u) => self.multi.remove_user(*u),
-                    };
+                    let _ = op.apply_to(self.multi.as_mut());
                 }
                 ReplayEntry::Post(post) => {
                     self.multi.offer_into(post, &mut self.decision);
@@ -1141,7 +1150,8 @@ impl FirehoseService {
         result
     }
 
-    /// Register a new user with an initial subscription set; returns her id.
+    /// Register a new user with an initial subscription set; returns the
+    /// new user's id.
     pub fn add_user(
         &mut self,
         authors: impl IntoIterator<Item = AuthorId>,
@@ -1154,7 +1164,8 @@ impl FirehoseService {
         result
     }
 
-    /// Deactivate a user: her engines are released, her id never reused.
+    /// Deactivate a user: their engines are released, their id is never
+    /// reused.
     pub fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
         let result = self.multi.remove_user(user);
         if result.is_ok() {
@@ -1173,14 +1184,12 @@ impl FirehoseService {
         }
     }
 
-    /// Apply a [`ChurnOp`] (trace replay).
+    /// Apply a [`ChurnOp`] (trace replay), recording it like the named
+    /// churn methods do.
     pub fn apply(&mut self, op: &ChurnOp) -> Result<(), SubscriptionError> {
-        match op {
-            ChurnOp::Subscribe(u, a) => self.subscribe(*u, *a).map(|_| ()),
-            ChurnOp::Unsubscribe(u, a) => self.unsubscribe(*u, *a).map(|_| ()),
-            ChurnOp::AddUser(authors) => self.add_user(authors.iter().copied()).map(|_| ()),
-            ChurnOp::RemoveUser(u) => self.remove_user(*u),
-        }
+        op.apply_to(self.multi.as_mut())?;
+        self.record_churn(op.clone());
+        Ok(())
     }
 
     // --- checkpoints ------------------------------------------------

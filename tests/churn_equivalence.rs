@@ -22,7 +22,7 @@ use firehose::core::engine::AlgorithmKind;
 use firehose::core::multi::{
     IndependentMulti, MultiDecision, MultiDiversifier, ShardedMulti, SharedMulti, Subscriptions,
 };
-use firehose::core::{EngineConfig, Thresholds};
+use firehose::core::{EngineConfig, EngineMetrics, Thresholds};
 use firehose::datagen::{generate_churn_trace, ChurnEvent, ChurnGenConfig, ChurnTraceEntry};
 use firehose::graph::UndirectedGraph;
 use firehose::stream::{AuthorId, Post};
@@ -503,6 +503,27 @@ proptest! {
 
         let mut reference = build(AlgorithmKind::UniBin, Variant::S, subs(), true);
         let expected = run_interleaved(reference.as_mut(), &stream, &trace);
+        // The reference counters after each churn op, in trace order: the
+        // sharded metrics cache and gauges follow churn incrementally, so
+        // they are checked after every op, not just at the end.
+        let expected_metrics: Vec<EngineMetrics> = {
+            let mut lockstep = build(AlgorithmKind::UniBin, Variant::S, subs(), true);
+            let mut metrics = Vec::with_capacity(trace.len());
+            let mut next = 0;
+            for (i, post) in stream.iter().enumerate() {
+                while next < trace.len() && trace[next].after_posts <= i as u64 {
+                    apply(lockstep.as_mut(), &trace[next].event);
+                    metrics.push(lockstep.metrics());
+                    next += 1;
+                }
+                lockstep.offer(post);
+            }
+            for entry in &trace[next..] {
+                apply(lockstep.as_mut(), &entry.event);
+                metrics.push(lockstep.metrics());
+            }
+            metrics
+        };
 
         for shards in [1usize, 2, 4] {
             let mut sh = build(AlgorithmKind::UniBin, Variant::Sh(shards), subs(), true);
@@ -511,6 +532,13 @@ proptest! {
             for (i, post) in stream.iter().enumerate() {
                 while next < trace.len() && trace[next].after_posts <= i as u64 {
                     apply(sh.as_mut(), &trace[next].event);
+                    prop_assert_eq!(
+                        sh.metrics(),
+                        expected_metrics[next],
+                        "shards={}: metrics diverged after churn op {}",
+                        shards,
+                        next
+                    );
                     next += 1;
                 }
                 got.push(sh.offer(post));
@@ -524,10 +552,23 @@ proptest! {
                     sh = restored;
                 }
             }
-            for entry in &trace[next..] {
+            for (k, entry) in trace.iter().enumerate().skip(next) {
                 apply(sh.as_mut(), &entry.event);
+                prop_assert_eq!(
+                    sh.metrics(),
+                    expected_metrics[k],
+                    "shards={}: metrics diverged after churn op {}",
+                    shards,
+                    k
+                );
             }
             prop_assert_eq!(&got, &expected, "shards={}: decisions diverged", shards);
+            prop_assert_eq!(
+                sh.metrics(),
+                reference.metrics(),
+                "shards={}: metrics diverged at the end of the stream",
+                shards
+            );
             prop_assert_eq!(
                 sh.churn_stats(),
                 reference.churn_stats(),
