@@ -390,29 +390,6 @@ impl EngineConfigBuilder {
     }
 }
 
-/// Live-churn behavior of the multi-user strategies.
-///
-/// Deliberately *not* part of [`EngineConfig`]: it never affects a single
-/// engine's decisions (and must not enter the snapshot wire format) — it
-/// only governs how the multi-user layer replaces engines under
-/// subscription churn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChurnConfig {
-    /// Warm-start engines spawned by churn from the still-in-window records
-    /// of the engines they replace (default `true`). Within `λt` of a churn
-    /// operation a warm-started stream may differ from a cold rebuild — the
-    /// affected users keep their recently-shown posts as coverage — and is
-    /// identical afterwards. Disable for cold rebuilds that match a freshly
-    /// built strategy immediately.
-    pub warm_start: bool,
-}
-
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        Self { warm_start: true }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,7 +80,7 @@ pub mod stream_ext;
 pub mod prelude {
     pub use crate::checkpoint::{CheckpointManager, CheckpointPolicy};
     pub use crate::config::{
-        ApproxConfig, ChurnConfig, EngineConfig, EngineConfigBuilder, MemoryMode, Thresholds,
+        ApproxConfig, EngineConfig, EngineConfigBuilder, MemoryMode, Thresholds,
     };
     pub use crate::decision::Decision;
     pub use crate::engine::{
@@ -106,8 +106,7 @@ pub use checkpoint::{
     RestoreError, RestoredEngine,
 };
 pub use config::{
-    ApproxConfig, ChurnConfig, ConfigError, EngineConfig, EngineConfigBuilder, MemoryMode,
-    Thresholds,
+    ApproxConfig, ConfigError, EngineConfig, EngineConfigBuilder, MemoryMode, Thresholds,
 };
 pub use costmodel::{CostInputs, CostPrediction};
 pub use coverage::{covers, explain, CoverageExplanation};

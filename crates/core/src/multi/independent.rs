@@ -330,12 +330,6 @@ impl IndependentMulti {
 }
 
 impl MultiDiversifier for IndependentMulti {
-    fn offer(&mut self, post: &Post) -> MultiDecision {
-        let mut out = MultiDecision::default();
-        self.offer_into(post, &mut out);
-        out
-    }
-
     fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
         out.delivered_to.clear();
         let started = self.obs.is_some().then(std::time::Instant::now);

@@ -182,15 +182,18 @@ pub struct ShardFailure {
 
 /// A multi-user real-time diversifier with live subscription churn.
 pub trait MultiDiversifier {
-    /// Offer an arriving post; returns which users receive it. Users not
-    /// subscribed to the post's author never appear.
-    fn offer(&mut self, post: &Post) -> MultiDecision;
+    /// Offer an arriving post, writing which users receive it into `out`
+    /// (cleared first). Users not subscribed to the post's author never
+    /// appear. Reusing `out` avoids one `Vec` allocation per post on the
+    /// hot path.
+    fn offer_into(&mut self, post: &Post, out: &mut MultiDecision);
 
-    /// Buffer-reusing variant of [`offer`](Self::offer): clears `out` and
-    /// fills its `delivered_to` in place, avoiding one `Vec` allocation per
-    /// post on the hot path. The default delegates to `offer`.
-    fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
-        *out = self.offer(post);
+    /// Offer an arriving post; returns which users receive it
+    /// ([`offer_into`](Self::offer_into) into a fresh decision).
+    fn offer(&mut self, post: &Post) -> MultiDecision {
+        let mut out = MultiDecision::default();
+        self.offer_into(post, &mut out);
+        out
     }
 
     /// Offer a whole time-ordered batch. The default maps
@@ -447,15 +450,6 @@ pub(crate) fn load_engine_blob(
         ));
     }
     Ok(())
-}
-
-/// Run a multi-user engine over a whole time-ordered stream; returns each
-/// post's delivery list.
-pub fn diversify_stream_multi<M: MultiDiversifier + ?Sized>(
-    engine: &mut M,
-    posts: &[Post],
-) -> Vec<MultiDecision> {
-    engine.offer_batch(posts)
 }
 
 #[cfg(test)]

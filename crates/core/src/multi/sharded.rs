@@ -43,15 +43,28 @@
 //! folds into an O(1) metrics cache and the sequential live/peak ledger in
 //! post order. [`offer_batch`](crate::multi::MultiDiversifier::offer_batch)
 //! keeps a bounded window of posts in flight, which is where the
-//! multi-core throughput comes from.
+//! multi-core throughput comes from; `offer_into` runs the same pipeline
+//! over a single post.
+//!
+//! ## Ring protocol
+//!
+//! Every request leaves the control thread through one `send`: push, ring
+//! the shard's doorbell, and while the ring is full run the caller's own
+//! drain and liveness check. Offers and sweeps are answered one response
+//! each; the two requests with many answers — `Req::Recall` and
+//! `Req::SaveBlobs` — end on the same `Resp::Done` FIFO barrier and are
+//! awaited by one `collect` loop until every addressed shard has answered
+//! or died, so nothing they send outlives them in a ring.
 //!
 //! ## Checkpoints
 //!
 //! `save_state` asks every shard to serialize its engines in parallel
-//! (`Req::SaveBlobs`) and stitches the per-shard blob sets into one
-//! FHSNAP04 state keyed by component hash — byte-identical to what
-//! `SharedMulti` writes, so sharded state restores into a sequential
-//! strategy and vice versa (see `checkpoint.rs` strategy families).
+//! (`Req::SaveBlobs`), waits for each shard's barrier, checks that one blob
+//! arrived per live component (an `io::Error` otherwise), and stitches the
+//! per-shard blob sets into one FHSNAP04 state keyed by component hash —
+//! byte-identical to what `SharedMulti` writes, so sharded state restores
+//! into a sequential strategy and vice versa (see `checkpoint.rs` strategy
+//! families).
 //!
 //! ## Supervision
 //!
@@ -124,9 +137,10 @@ enum Req {
         engine: Box<CompactEngine>,
     },
     /// Ship the named engines back ([`Resp::Engine`] each; names this
-    /// shard does not own are skipped), then answer [`Resp::Recalled`].
+    /// shard does not own are skipped), then answer [`Resp::Done`].
     Recall { cids: Vec<u32> },
-    /// Serialize every owned engine ([`Resp::Blob`] each).
+    /// Serialize every owned engine ([`Resp::Blob`] each), then answer
+    /// [`Resp::Done`].
     SaveBlobs,
     /// Exit the worker loop.
     Shutdown,
@@ -139,19 +153,20 @@ enum Resp {
         seq: u64,
         cid: u32,
         emitted: bool,
-        delta: Delta,
+        delta: Counters,
     },
     /// The shard-wide sweep for `seq` completed.
-    Swept { seq: u64, delta: Delta },
+    Swept { seq: u64, delta: Counters },
     /// A recalled engine.
     Engine {
         cid: u32,
         engine: Box<CompactEngine>,
     },
-    /// FIFO barrier closing a [`Req::Recall`]: everything this worker sent
-    /// before it — engine shipments, but also offer/sweep responses
-    /// abandoned by a failure — has been received once this arrives.
-    Recalled,
+    /// FIFO barrier closing a [`Req::Recall`] or [`Req::SaveBlobs`]:
+    /// everything this worker sent before it — engines and blobs, but also
+    /// offer/sweep responses abandoned by a failure — has been received
+    /// once this arrives.
+    Done,
     /// One engine's serialized state.
     Blob {
         cid: u32,
@@ -177,11 +192,25 @@ struct ShardHealth {
     processed: AtomicU64,
 }
 
-/// Exact change of one engine's [`EngineMetrics`] across an operation. The
-/// monotone counters are wrapping differences; `copies` is signed because
-/// sweeps evict.
+impl ShardHealth {
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
+    }
+}
+
+fn any_dead(health: &[Arc<ShardHealth>]) -> bool {
+    health.iter().any(|h| h.is_dead())
+}
+
+/// The six non-peak [`EngineMetrics`] counters. A response carries one
+/// engine's exact change across an operation (`copies` is signed because
+/// sweeps evict); the control side keeps their sum over the deployed
+/// engines — added to at every deploy, subtracted at every local recall,
+/// emptied by the full park, and advanced by response deltas while the
+/// engines are away. That sum makes [`ShardedMulti::metrics`] O(1) —
+/// required because the checkpoint manager polls it after every post.
 #[derive(Debug, Clone, Copy, Default)]
-struct Delta {
+struct Counters {
     posts_processed: u64,
     posts_emitted: u64,
     comparisons: u64,
@@ -190,69 +219,40 @@ struct Delta {
     copies: i64,
 }
 
-impl Delta {
-    fn diff(before: &EngineMetrics, after: &EngineMetrics) -> Self {
+impl Counters {
+    fn of(m: &EngineMetrics) -> Self {
         Self {
-            posts_processed: after.posts_processed.wrapping_sub(before.posts_processed),
-            posts_emitted: after.posts_emitted.wrapping_sub(before.posts_emitted),
-            comparisons: after.comparisons.wrapping_sub(before.comparisons),
-            insertions: after.insertions.wrapping_sub(before.insertions),
-            evictions: after.evictions.wrapping_sub(before.evictions),
-            copies: after.copies_stored as i64 - before.copies_stored as i64,
+            posts_processed: m.posts_processed,
+            posts_emitted: m.posts_emitted,
+            comparisons: m.comparisons,
+            insertions: m.insertions,
+            evictions: m.evictions,
+            copies: m.copies_stored as i64,
         }
     }
 
-    fn add(&mut self, other: &Delta) {
-        self.posts_processed += other.posts_processed;
-        self.posts_emitted += other.posts_emitted;
-        self.comparisons += other.comparisons;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.copies += other.copies;
-    }
-}
-
-/// Control-side sum of the deployed engines' non-peak counters: added to
-/// at every deploy, subtracted at every local recall, emptied by the full
-/// park, and advanced by response [`Delta`]s while the engines are away.
-/// Makes [`ShardedMulti::metrics`] O(1) — required because the checkpoint
-/// manager polls it after every post.
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterCache {
-    posts_processed: u64,
-    posts_emitted: u64,
-    comparisons: u64,
-    insertions: u64,
-    evictions: u64,
-    copies_stored: u64,
-}
-
-impl CounterCache {
-    fn absorb(&mut self, m: &EngineMetrics) {
-        self.posts_processed += m.posts_processed;
-        self.posts_emitted += m.posts_emitted;
-        self.comparisons += m.comparisons;
-        self.insertions += m.insertions;
-        self.evictions += m.evictions;
-        self.copies_stored += m.copies_stored;
+    fn diff(before: &EngineMetrics, after: &EngineMetrics) -> Self {
+        let mut d = Self::of(after);
+        d.sub(&Self::of(before));
+        d
     }
 
-    fn remove(&mut self, m: &EngineMetrics) {
-        self.posts_processed -= m.posts_processed;
-        self.posts_emitted -= m.posts_emitted;
-        self.comparisons -= m.comparisons;
-        self.insertions -= m.insertions;
-        self.evictions -= m.evictions;
-        self.copies_stored -= m.copies_stored;
+    fn add(&mut self, o: &Self) {
+        self.posts_processed += o.posts_processed;
+        self.posts_emitted += o.posts_emitted;
+        self.comparisons += o.comparisons;
+        self.insertions += o.insertions;
+        self.evictions += o.evictions;
+        self.copies += o.copies;
     }
 
-    fn apply(&mut self, d: &Delta) {
-        self.posts_processed += d.posts_processed;
-        self.posts_emitted += d.posts_emitted;
-        self.comparisons += d.comparisons;
-        self.insertions += d.insertions;
-        self.evictions += d.evictions;
-        self.copies_stored = add_signed(self.copies_stored, d.copies);
+    fn sub(&mut self, o: &Self) {
+        self.posts_processed -= o.posts_processed;
+        self.posts_emitted -= o.posts_emitted;
+        self.comparisons -= o.comparisons;
+        self.insertions -= o.insertions;
+        self.evictions -= o.evictions;
+        self.copies -= o.copies;
     }
 }
 
@@ -271,6 +271,87 @@ struct ShardLink {
     req: SpscSender<Req>,
     resp: SpscReceiver<Resp>,
     bell: Arc<Doorbell>,
+}
+
+/// The one way a request reaches a shard: push it, then ring the doorbell.
+/// While the ring is full, `on_full` runs the caller's drain and liveness
+/// check — draining keeps the worker able to answer, so backpressure never
+/// deadlocks — and the request comes back once it returns `false`.
+fn send(link: &ShardLink, mut req: Req, mut on_full: impl FnMut() -> bool) -> Result<(), Req> {
+    loop {
+        match link.req.try_push(req) {
+            Ok(()) => {
+                link.bell.ring();
+                return Ok(());
+            }
+            Err(r) => {
+                req = r;
+                if !on_full() {
+                    return Err(req);
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Send `reqs` — multi-response requests, each to the shard it names —
+/// then receive until every addressed shard has closed its request with
+/// [`Resp::Done`] or died. Dead shards are not addressed. Every other
+/// response goes to `on_resp` with its shard, including while later
+/// requests are still being pushed: earlier shards may already be
+/// answering. Returns whether every addressed shard answered.
+fn collect(
+    links: &[ShardLink],
+    health: &[Arc<ShardHealth>],
+    reqs: impl IntoIterator<Item = (usize, Req)>,
+    mut on_resp: impl FnMut(usize, Resp),
+) -> bool {
+    let mut done = vec![true; links.len()];
+    for (shard, req) in reqs {
+        if health[shard].is_dead() {
+            continue;
+        }
+        done[shard] = false;
+        // A shard that dies mid-push drops its request; the wait below then
+        // sees it dead.
+        let _ = send(&links[shard], req, || {
+            !health[shard].is_dead() && {
+                receive(links, &mut done, &mut on_resp);
+                true
+            }
+        });
+    }
+    loop {
+        // Snapshot deaths before draining: a worker's pre-death pushes are
+        // visible once its dead flag is, so a drain that runs after seeing
+        // the flag has popped everything it ever sent.
+        let dead: Vec<bool> = health.iter().map(|h| h.is_dead()).collect();
+        let progress = receive(links, &mut done, &mut on_resp);
+        if done.iter().zip(&dead).all(|(&d, &x)| d || x) {
+            return done.iter().all(|&d| d);
+        }
+        if !progress {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// [`collect`]'s drain: pop every available response, marking a shard done
+/// at its [`Resp::Done`] and handing everything else to `on_resp`. Returns
+/// whether anything arrived.
+fn receive(links: &[ShardLink], done: &mut [bool], on_resp: &mut impl FnMut(usize, Resp)) -> bool {
+    let mut progress = false;
+    for (shard, link) in links.iter().enumerate() {
+        while let Some(resp) = link.resp.try_pop() {
+            progress = true;
+            match resp {
+                Resp::Done => done[shard] = true,
+                resp => on_resp(shard, resp),
+            }
+        }
+    }
+    progress
 }
 
 /// One post's in-flight bookkeeping: how many responses are still due, the
@@ -367,7 +448,7 @@ impl ShardedBuilder<'_> {
             shards: self.shards,
             deployed: false,
             seq: 0,
-            cache: CounterCache::default(),
+            cache: Counters::default(),
             re_homes: 0,
             restarts: 0,
             lost_offers: 0,
@@ -431,8 +512,8 @@ pub struct ShardedMulti {
     deployed: bool,
     /// Post sequence number, shared by offers and sweep markers.
     seq: u64,
-    /// O(1) metrics cache for the deployed engines.
-    cache: CounterCache,
+    /// O(1) metrics cache: the deployed engines' summed counters.
+    cache: Counters,
     /// Churn-spawned engines whose warm-start seeds came from a retired
     /// engine on a different shard (see `count_re_homes`).
     re_homes: u64,
@@ -495,11 +576,8 @@ impl ShardedMulti {
         // Publish the current occupancy immediately; from here on deploys
         // and recalls adjust it.
         let mut occupancy = vec![0i64; self.shards];
-        let reg = &self.registry;
-        for (cid, (meta, engine)) in reg.meta.iter().zip(&reg.engines).enumerate() {
-            if meta.is_some() && engine.is_none() {
-                occupancy[cid % self.shards] += 1;
-            }
+        for cid in self.deployed_cids() {
+            occupancy[cid as usize % self.shards] += 1;
         }
         for (o, n) in self.shard_obs.iter().zip(occupancy) {
             o.engines.set(n);
@@ -546,14 +624,15 @@ impl ShardedMulti {
         &self.quarantined
     }
 
-    fn any_dead(&self) -> bool {
-        self.health.iter().any(|h| h.dead.load(Ordering::SeqCst))
+    /// Live components whose engine is out on a shard (not parked).
+    fn deployed_cids(&self) -> impl Iterator<Item = u32> + '_ {
+        let reg = &self.registry;
+        (0..reg.meta.len() as u32)
+            .filter(|&cid| reg.meta[cid as usize].is_some() && reg.engines[cid as usize].is_none())
     }
 
     fn first_dead(&self) -> Option<usize> {
-        self.health
-            .iter()
-            .position(|h| h.dead.load(Ordering::SeqCst))
+        self.health.iter().position(|h| h.is_dead())
     }
 
     /// Current per-shard heartbeat counters.
@@ -575,7 +654,7 @@ impl ShardedMulti {
                 continue;
             }
             let h = &self.health[shard];
-            if h.dead.load(Ordering::SeqCst) || h.processed.load(Ordering::SeqCst) != seen {
+            if h.is_dead() || h.processed.load(Ordering::SeqCst) != seen {
                 continue;
             }
             h.abandoned.store(true, Ordering::SeqCst);
@@ -585,41 +664,28 @@ impl ShardedMulti {
         any
     }
 
-    /// Push `req` to `shard`, draining responses into `pending`/`cache`
-    /// while the request ring is full so the worker can always make
-    /// progress. Returns `false` (dropping the request) once a worker is
-    /// dead — the caller escalates to recovery, which discards `pending`
-    /// anyway.
-    fn push_req(
-        &mut self,
-        shard: usize,
-        mut req: Req,
-        pending: &mut VecDeque<PendingPost>,
-    ) -> bool {
-        let awaits_response = matches!(req, Req::Offer { .. } | Req::Sweep { .. });
-        loop {
-            match self.links[shard].req.try_push(req) {
-                Ok(()) => break,
-                Err(r) => {
-                    req = r;
-                    if self.any_dead() {
-                        return false;
-                    }
-                    drain_responses(
-                        &self.links,
-                        &self.shard_obs,
-                        pending,
-                        &mut self.cache,
-                        &mut self.outstanding,
-                    );
-                    std::thread::yield_now();
-                }
+    /// Send an offer or sweep to `shard`, draining responses into
+    /// `pending`/`cache` while its ring is full. Returns `false` (dropping
+    /// the request) once a worker is dead — the caller escalates to
+    /// recovery, which discards `pending` anyway.
+    fn push_req(&mut self, shard: usize, req: Req, pending: &mut VecDeque<PendingPost>) -> bool {
+        let (links, health) = (&self.links, &self.health);
+        let sent = send(&links[shard], req, || {
+            !any_dead(health) && {
+                drain_responses(
+                    links,
+                    &self.shard_obs,
+                    pending,
+                    &mut self.cache,
+                    &mut self.outstanding,
+                );
+                true
             }
+        });
+        if sent.is_err() {
+            return false;
         }
-        if awaits_response {
-            self.outstanding[shard] += 1;
-        }
-        self.links[shard].bell.ring();
+        self.outstanding[shard] += 1;
         if let Some(o) = self.shard_obs.get(shard) {
             o.ring_depth.add(1);
         }
@@ -701,7 +767,7 @@ impl ShardedMulti {
                 idle = 0;
                 watch = None;
             } else {
-                if self.any_dead() {
+                if any_dead(&self.health) {
                     return false;
                 }
                 idle += 1;
@@ -750,6 +816,79 @@ impl ShardedMulti {
         debug_assert!(out.delivered_to.windows(2).all(|w| w[0] != w[1]));
     }
 
+    /// The one offer pipeline: issue `posts` with up to `MAX_IN_FLIGHT`
+    /// in flight, finalize each into `out` strictly in post order, and hand
+    /// it to `emit`.
+    fn pipeline(
+        &mut self,
+        posts: &[Post],
+        out: &mut MultiDecision,
+        mut emit: impl FnMut(&mut MultiDecision),
+    ) {
+        self.ensure_deployed();
+        let mut pending = VecDeque::with_capacity(posts.len().min(MAX_IN_FLIGHT));
+        for post in posts {
+            // Opportunistically retire completed posts, then respect the
+            // in-flight window.
+            drain_responses(
+                &self.links,
+                &self.shard_obs,
+                &mut pending,
+                &mut self.cache,
+                &mut self.outstanding,
+            );
+            while pending.front().is_some_and(|p| p.expected == 0) {
+                self.finalize_front(&mut pending, out);
+                emit(out);
+            }
+            self.settle(&mut pending, MAX_IN_FLIGHT - 1, out, &mut emit);
+            if !self.issue_post(post, &mut pending) {
+                self.abort(&mut pending, out, &mut emit);
+            }
+        }
+        self.settle(&mut pending, 0, out, &mut emit);
+        if let Some(obs) = &self.obs {
+            obs.live_copies.set(self.registry.live_copies as i64);
+        }
+    }
+
+    /// Wait for and finalize the oldest pending posts until at most `keep`
+    /// remain.
+    fn settle(
+        &mut self,
+        pending: &mut VecDeque<PendingPost>,
+        keep: usize,
+        out: &mut MultiDecision,
+        emit: &mut impl FnMut(&mut MultiDecision),
+    ) {
+        while pending.len() > keep {
+            if self.wait_front(pending) {
+                self.finalize_front(pending, out);
+                emit(out);
+            } else {
+                self.abort(pending, out, emit);
+            }
+        }
+    }
+
+    /// The pipeline's one failure path: a dead worker can never answer, so
+    /// every pending post is written off with an empty delivery (keeping
+    /// decisions aligned with posts), then full recovery runs. The episode,
+    /// these lost posts included, is available via `take_shard_failure`.
+    fn abort(
+        &mut self,
+        pending: &mut VecDeque<PendingPost>,
+        out: &mut MultiDecision,
+        emit: &mut impl FnMut(&mut MultiDecision),
+    ) {
+        let lost_posts = pending.len() as u64;
+        for _ in pending.drain(..) {
+            out.delivered_to.clear();
+            emit(out);
+        }
+        self.recover_and_redeploy(lost_posts);
+    }
+
     /// Ship the parked engines among `cids` to their shards (`cid %
     /// shards`), adding their counters to the metrics cache and their count
     /// to the occupancy gauges; slots in `cids` holding no engine are
@@ -759,37 +898,27 @@ impl ShardedMulti {
     /// `park`.
     fn deploy(&mut self, cids: impl IntoIterator<Item = u32>) -> bool {
         debug_assert!(!self.deployed);
-        if self.any_dead() {
+        if any_dead(&self.health) {
             return false;
         }
         for cid in cids {
             let Some(engine) = self.registry.engines[cid as usize].take() else {
                 continue;
             };
-            let metrics = *engine.metrics();
+            let counters = Counters::of(engine.metrics());
             let shard = cid as usize % self.shards;
-            let mut req = Req::Deploy {
+            let req = Req::Deploy {
                 cid,
                 engine: Box::new(engine),
             };
-            loop {
-                match self.links[shard].req.try_push(req) {
-                    Ok(()) => break,
-                    Err(r) => {
-                        if self.any_dead() {
-                            let Req::Deploy { engine, .. } = r else {
-                                unreachable!("deploy pushes only Deploy requests")
-                            };
-                            self.registry.engines[cid as usize] = Some(*engine);
-                            return false;
-                        }
-                        req = r;
-                        std::thread::yield_now();
-                    }
-                }
+            if let Err(req) = send(&self.links[shard], req, || !any_dead(&self.health)) {
+                let Req::Deploy { engine, .. } = req else {
+                    unreachable!("deploy sends only Deploy requests")
+                };
+                self.registry.engines[cid as usize] = Some(*engine);
+                return false;
             }
-            self.links[shard].bell.ring();
-            self.cache.absorb(&metrics);
+            self.cache.add(&counters);
             if let Some(o) = self.shard_obs.get(shard) {
                 o.engines.add(1);
             }
@@ -803,76 +932,38 @@ impl ShardedMulti {
         self.deploy(0..self.registry.engines.len() as u32)
     }
 
-    /// Send one [`Req::Recall`] naming `wanted[shard]` to each live shard —
-    /// to every live shard when `every_shard`, otherwise only to shards
-    /// with something wanted — and receive until each addressed shard has
-    /// answered or died. Recalled engines land in their registry slots;
-    /// stale offer/sweep/blob responses abandoned by a failure are dropped.
-    /// Returns whether every addressed shard answered.
-    ///
-    /// Pushes here use a dedicated retry loop, not [`push_req`]: earlier
-    /// shards may already be streaming [`Resp::Engine`]s back while later
-    /// `Recall`s are still being pushed, and the offer-path
-    /// [`drain_responses`] rejects engine responses by design. Each
-    /// addressed shard closes its recall with a [`Resp::Recalled`] barrier,
-    /// so once it has answered, nothing it sent earlier is left in its
-    /// ring.
-    fn recall(&mut self, mut wanted: Vec<Vec<u32>>, every_shard: bool) -> bool {
-        let mut done = vec![true; self.shards];
-        for shard in 0..self.shards {
-            if self.health[shard].dead.load(Ordering::SeqCst)
-                || (!every_shard && wanted[shard].is_empty())
-            {
-                continue;
+    /// Send one [`Req::Recall`] naming its share of `cids` to each live
+    /// shard — to every live shard when `every_shard`, otherwise only to
+    /// shards owning one of `cids` — and [`collect`] the answers. Recalled
+    /// engines land in their registry slots; stale offer/sweep responses
+    /// abandoned by a failure are dropped. Returns whether every addressed
+    /// shard answered.
+    fn recall(&mut self, cids: impl IntoIterator<Item = u32>, every_shard: bool) -> bool {
+        let mut wanted = vec![Vec::new(); self.shards];
+        for cid in cids {
+            wanted[cid as usize % self.shards].push(cid);
+        }
+        let reqs = wanted
+            .into_iter()
+            .enumerate()
+            .filter(|(_, cids)| every_shard || !cids.is_empty())
+            .map(|(shard, cids)| (shard, Req::Recall { cids }));
+        collect(&self.links, &self.health, reqs, |shard, resp| match resp {
+            Resp::Engine { cid, engine } => {
+                self.registry.engines[cid as usize] = Some(*engine);
             }
-            done[shard] = false;
-            let mut req = Req::Recall {
-                cids: std::mem::take(&mut wanted[shard]),
-            };
-            loop {
-                match self.links[shard].req.try_push(req) {
-                    Ok(()) => break,
-                    Err(r) => {
-                        req = r;
-                        if self.health[shard].dead.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        receive_parked_responses(
-                            &self.links,
-                            &self.shard_obs,
-                            &mut self.registry,
-                            &mut self.outstanding,
-                            &mut done,
-                        );
-                        std::thread::yield_now();
-                    }
+            // Stale offer-path traffic from before the failure; the posts
+            // it belongs to were already written off.
+            Resp::Offered { .. } | Resp::Swept { .. } => {
+                if let Some(o) = self.shard_obs.get(shard) {
+                    o.ring_depth.add(-1);
                 }
+                self.outstanding[shard] = self.outstanding[shard].saturating_sub(1);
             }
-            self.links[shard].bell.ring();
-        }
-        loop {
-            // Snapshot deaths before draining: a worker's pre-death pushes
-            // are visible once its dead flag is, so a drain that runs after
-            // seeing the flag has popped everything it ever sent.
-            let dead: Vec<bool> = self
-                .health
-                .iter()
-                .map(|h| h.dead.load(Ordering::SeqCst))
-                .collect();
-            let progress = receive_parked_responses(
-                &self.links,
-                &self.shard_obs,
-                &mut self.registry,
-                &mut self.outstanding,
-                &mut done,
-            );
-            if (0..self.shards).all(|s| done[s] || dead[s]) {
-                return done.iter().all(|&d| d);
+            Resp::Blob { .. } | Resp::Done => {
+                unreachable!("saves collect their own blobs; barriers end in `collect`")
             }
-            if !progress {
-                std::thread::yield_now();
-            }
-        }
+        })
     }
 
     /// Recall every deployed engine on every live shard into its registry
@@ -883,16 +974,10 @@ impl ShardedMulti {
     /// and occupancy gauges restart from empty (lost engines and dropped
     /// responses never reach them; `deploy` re-adds what ships).
     fn park(&mut self) {
-        let mut wanted = vec![Vec::new(); self.shards];
-        let reg = &self.registry;
-        for (cid, (meta, engine)) in reg.meta.iter().zip(&reg.engines).enumerate() {
-            if meta.is_some() && engine.is_none() {
-                wanted[cid % self.shards].push(cid as u32);
-            }
-        }
-        self.recall(wanted, true);
+        let deployed: Vec<u32> = self.deployed_cids().collect();
+        self.recall(deployed, true);
         self.deployed = false;
-        self.cache = CounterCache::default();
+        self.cache = Counters::default();
         for o in &self.shard_obs {
             o.engines.set(0);
         }
@@ -911,7 +996,7 @@ impl ShardedMulti {
         let mut restarted = 0u64;
         loop {
             self.park();
-            if !self.any_dead() {
+            if !any_dead(&self.health) {
                 break;
             }
             // A death can also first surface *during* the park (a chaos
@@ -920,7 +1005,7 @@ impl ShardedMulti {
             // always clean.
             episode_shard = episode_shard.or_else(|| self.first_dead());
             for s in 0..self.shards {
-                if self.health[s].dead.load(Ordering::SeqCst) && self.outstanding[s] > 0 {
+                if self.health[s].is_dead() && self.outstanding[s] > 0 {
                     lost_offers += self.outstanding[s];
                     if let Some(o) = self.shard_obs.get(s) {
                         o.lost_offers.add(self.outstanding[s]);
@@ -934,9 +1019,7 @@ impl ShardedMulti {
         if restarted == 0 {
             return;
         }
-        for s in self.outstanding.iter_mut() {
-            *s = 0;
-        }
+        self.outstanding.fill(0);
         // Requests abandoned in replaced rings make the depth gauges drift;
         // everything is quiescent now, so reset them.
         for o in &self.shard_obs {
@@ -962,7 +1045,7 @@ impl ShardedMulti {
     fn restart_dead_workers(&mut self) -> u64 {
         let mut restarted = 0;
         for shard in 0..self.shards {
-            if !self.health[shard].dead.load(Ordering::SeqCst) {
+            if !self.health[shard].is_dead() {
                 continue;
             }
             let abandoned = self.health[shard].abandoned.load(Ordering::SeqCst);
@@ -1042,71 +1125,12 @@ impl ShardedMulti {
         );
     }
 
-    /// Offer-path failure handling: everything still pending is lost (a
-    /// dead worker can never answer); clear it and run full recovery.
-    fn recover(&mut self, pending: &mut VecDeque<PendingPost>) {
-        let lost_posts = pending.len() as u64;
-        pending.clear();
-        self.recover_and_redeploy(lost_posts);
-    }
-
-    /// Pop every available save response, keying each blob by its
-    /// component's member hash; returns how many blobs arrived (including
-    /// failed ones, which land in `first_err`). Only valid while a save is
-    /// in flight (the offer path is quiescent, so blobs are the only
-    /// traffic).
-    fn receive_saved_blobs(
-        &self,
-        engines: &mut Vec<(u64, Vec<u8>)>,
-        first_err: &mut Option<std::io::Error>,
-    ) -> usize {
-        let mut n = 0;
-        for link in &self.links {
-            while let Some(resp) = link.resp.try_pop() {
-                match resp {
-                    Resp::Blob { cid, blob } => {
-                        n += 1;
-                        match blob {
-                            Ok(bytes) => {
-                                let meta = self.registry.meta[cid as usize]
-                                    .as_ref()
-                                    .expect("deployed engine has meta");
-                                engines.push((component_key(&meta.members), bytes));
-                            }
-                            Err(e) => {
-                                if first_err.is_none() {
-                                    *first_err = Some(e);
-                                }
-                            }
-                        }
-                    }
-                    _ => unreachable!("only blobs may be in flight during a save"),
-                }
-            }
-        }
-        n
-    }
-
     /// Recover the deployed invariant — after a failed restore left the
     /// engine parked, or after a worker death that has not yet been healed.
     fn ensure_deployed(&mut self) {
-        if self.any_dead() || (!self.deployed && !self.deploy_all()) {
+        if any_dead(&self.health) || (!self.deployed && !self.deploy_all()) {
             self.recover_and_redeploy(0);
         }
-    }
-
-    /// Batch-path failure handling: the aborted posts still need aligned
-    /// decisions (empty deliveries — their offers never completed), then
-    /// full recovery.
-    fn abort_pending(
-        &mut self,
-        pending: &mut VecDeque<PendingPost>,
-        decisions: &mut Vec<MultiDecision>,
-    ) {
-        for _ in 0..pending.len() {
-            decisions.push(MultiDecision::default());
-        }
-        self.recover(pending);
     }
 
     /// Run a planned churn op component-locally: recall only its released
@@ -1117,7 +1141,8 @@ impl ShardedMulti {
     /// heal before the op runs; everything is parked and redeployed then.
     /// So does an op on a fleet left parked by a failed restore.
     fn churn(&mut self, plan: &Rewire) {
-        let local = self.deployed && !self.any_dead() && self.recall_released(&plan.released);
+        let local =
+            self.deployed && !any_dead(&self.health) && self.recall_released(&plan.released);
         self.deployed = false;
         if !local {
             self.heal_parked(0);
@@ -1138,18 +1163,14 @@ impl ShardedMulti {
     /// them out of the metrics cache and occupancy gauges. Returns `false`
     /// if an owning shard died first; the caller heals.
     fn recall_released(&mut self, released: &[u32]) -> bool {
-        let mut wanted = vec![Vec::new(); self.shards];
-        for &cid in released {
-            wanted[cid as usize % self.shards].push(cid);
-        }
-        if !self.recall(wanted, false) {
+        if !self.recall(released.iter().copied(), false) {
             return false;
         }
         for &cid in released {
             let engine = self.registry.engines[cid as usize]
                 .as_ref()
                 .expect("released engine was recalled");
-            self.cache.remove(engine.metrics());
+            self.cache.sub(&Counters::of(engine.metrics()));
             if let Some(o) = self.shard_obs.get(cid as usize % self.shards) {
                 o.engines.add(-1);
             }
@@ -1190,7 +1211,7 @@ fn drain_responses(
     links: &[ShardLink],
     shard_obs: &[ShardedObs],
     pending: &mut VecDeque<PendingPost>,
-    cache: &mut CounterCache,
+    cache: &mut Counters,
     outstanding: &mut [u64],
 ) -> bool {
     let mut progress = false;
@@ -1211,52 +1232,13 @@ fn drain_responses(
                 Resp::Swept { seq, delta } => (seq, None, delta),
                 _ => unreachable!("recall/save responses cannot overlap the offer path"),
             };
-            cache.apply(&delta);
+            cache.add(&delta);
             let front_seq = pending.front().expect("pending post for response").seq;
             let p = &mut pending[(seq - front_seq) as usize];
             p.delta_copies += delta.copies;
             p.expected -= 1;
             if let Some(cid) = cid_emitted {
                 p.emitted_cids.push(cid);
-            }
-        }
-    }
-    progress
-}
-
-/// Pop every available response during a recall. Engines land in their
-/// registry slots; [`Resp::Recalled`] barriers mark their shard done; stale
-/// offer/sweep/blob responses abandoned by an aborted batch or a failed
-/// save are dropped (the posts they belong to were already written off).
-/// Returns whether anything arrived.
-fn receive_parked_responses(
-    links: &[ShardLink],
-    shard_obs: &[ShardedObs],
-    registry: &mut ComponentRegistry,
-    outstanding: &mut [u64],
-    done: &mut [bool],
-) -> bool {
-    let mut progress = false;
-    for (shard, link) in links.iter().enumerate() {
-        while let Some(resp) = link.resp.try_pop() {
-            progress = true;
-            match resp {
-                Resp::Engine { cid, engine } => {
-                    registry.engines[cid as usize] = Some(*engine);
-                }
-                Resp::Recalled => {
-                    done[shard] = true;
-                }
-                Resp::Offered { .. } | Resp::Swept { .. } => {
-                    // Stale offer-path traffic from before the failure.
-                    if let Some(o) = shard_obs.get(shard) {
-                        o.ring_depth.add(-1);
-                    }
-                    outstanding[shard] = outstanding[shard].saturating_sub(1);
-                }
-                Resp::Blob { .. } => {
-                    // Stale save traffic from a failed checkpoint.
-                }
             }
         }
     }
@@ -1298,24 +1280,25 @@ fn worker_loop(
 /// The worker request loop: owns the deployed engines of one shard, parks
 /// on its doorbell when idle, bumps its heartbeat after every handled
 /// request, and fires its scheduled chaos fault (if any) once enough
-/// requests have been handled.
+/// requests have been handled. Returns `None` when it exits because the
+/// watchdog abandoned it.
 fn worker_run(
     rx: SpscReceiver<Req>,
     tx: SpscSender<Resp>,
     bell: Arc<Doorbell>,
     health: &ShardHealth,
     fault: Option<ShardFault>,
-) {
-    // Returns `false` when the shard was abandoned while the response ring
-    // was full — the control thread stopped draining, so waiting longer
-    // deadlocks; the worker exits instead.
+) -> Option<()> {
+    // `None` when the shard was abandoned while the response ring was full
+    // — the control thread stopped draining, so waiting longer deadlocks;
+    // the worker exits instead.
     let respond = |mut resp: Resp| loop {
         match tx.try_push(resp) {
-            Ok(()) => break true,
+            Ok(()) => break Some(()),
             Err(r) => {
                 resp = r;
                 if health.abandoned.load(Ordering::SeqCst) {
-                    break false;
+                    break None;
                 }
                 std::thread::yield_now();
             }
@@ -1326,9 +1309,7 @@ fn worker_run(
         std::collections::HashMap::new();
     let mut handled: u64 = 0;
     loop {
-        let Some(req) = next_req(&rx, &bell, health) else {
-            return; // abandoned by the watchdog
-        };
+        let req = next_req(&rx, &bell, health)?;
         if let Some(f) = fault {
             if handled >= f.after_requests {
                 match f.kind {
@@ -1344,7 +1325,7 @@ fn worker_run(
                         while !health.abandoned.load(Ordering::SeqCst) {
                             std::thread::sleep(Duration::from_millis(1));
                         }
-                        return;
+                        return None;
                     }
                 }
             }
@@ -1355,64 +1336,53 @@ fn worker_run(
                     Some(engine) => {
                         let before = *engine.metrics();
                         let emitted = engine.offer(record).is_some_and(|v| v.is_emitted());
-                        (emitted, Delta::diff(&before, engine.metrics()))
+                        (emitted, Counters::diff(&before, engine.metrics()))
                     }
                     // Routing said live but the engine is not here: answer
                     // (the control thread counts responses) without work.
-                    None => (false, Delta::default()),
+                    None => (false, Counters::default()),
                 };
-                if !respond(Resp::Offered {
+                respond(Resp::Offered {
                     seq,
                     cid,
                     emitted,
                     delta,
-                }) {
-                    return;
-                }
+                })?;
             }
             Req::Sweep { seq, now } => {
-                let mut delta = Delta::default();
+                let mut delta = Counters::default();
                 for engine in engines.values_mut() {
                     let before = *engine.metrics();
                     engine.evict_expired(now);
-                    delta.add(&Delta::diff(&before, engine.metrics()));
+                    delta.add(&Counters::diff(&before, engine.metrics()));
                 }
-                if !respond(Resp::Swept { seq, delta }) {
-                    return;
-                }
+                respond(Resp::Swept { seq, delta })?;
             }
             Req::Deploy { cid, engine } => {
                 engines.insert(cid, *engine);
             }
             Req::Recall { cids } => {
                 for cid in cids {
-                    let Some(engine) = engines.remove(&cid) else {
-                        continue;
-                    };
-                    if !respond(Resp::Engine {
-                        cid,
-                        engine: Box::new(engine),
-                    }) {
-                        return;
+                    if let Some(engine) = engines.remove(&cid) {
+                        let engine = Box::new(engine);
+                        respond(Resp::Engine { cid, engine })?;
                     }
                 }
                 // FIFO barrier: once the control thread pops this, every
                 // response this worker ever sent before it is accounted
                 // for.
-                if !respond(Resp::Recalled) {
-                    return;
-                }
+                respond(Resp::Done)?;
             }
             Req::SaveBlobs => {
                 for (&cid, engine) in engines.iter() {
                     let mut blob = Vec::new();
                     let blob = engine.save_state(&mut blob).map(|()| blob);
-                    if !respond(Resp::Blob { cid, blob }) {
-                        return;
-                    }
+                    respond(Resp::Blob { cid, blob })?;
                 }
+                // The same barrier closes a save.
+                respond(Resp::Done)?;
             }
-            Req::Shutdown => break,
+            Req::Shutdown => return Some(()),
         }
         handled += 1;
         health.processed.fetch_add(1, Ordering::SeqCst);
@@ -1453,29 +1423,11 @@ fn next_req(rx: &SpscReceiver<Req>, bell: &Doorbell, health: &ShardHealth) -> Op
 }
 
 impl MultiDiversifier for ShardedMulti {
-    fn offer(&mut self, post: &Post) -> MultiDecision {
-        let mut out = MultiDecision::default();
-        self.offer_into(post, &mut out);
-        out
-    }
-
     fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
-        self.ensure_deployed();
         let started = self.obs.is_some().then(Instant::now);
-        let mut pending = VecDeque::with_capacity(1);
-        let ok = self.issue_post(post, &mut pending) && self.wait_front(&mut pending);
-        if ok {
-            self.finalize_front(&mut pending, out);
-        } else {
-            // The post died with a worker: report an empty delivery and
-            // heal. The failure episode (including this lost post) is
-            // available via `take_shard_failure`.
-            out.delivered_to.clear();
-            self.recover(&mut pending);
-        }
+        self.pipeline(std::slice::from_ref(post), out, |_| {});
         if let (Some(t0), Some(obs)) = (started, &self.obs) {
             obs.offer_latency.record_duration(t0.elapsed());
-            obs.live_copies.set(self.registry.live_copies as i64);
         }
     }
 
@@ -1484,50 +1436,10 @@ impl MultiDiversifier for ShardedMulti {
     /// overlap. Decisions, counters, and the sweep schedule are identical
     /// to offering the posts one at a time.
     fn offer_batch(&mut self, posts: &[Post]) -> Vec<MultiDecision> {
-        self.ensure_deployed();
-        let mut decisions: Vec<MultiDecision> = Vec::with_capacity(posts.len());
-        let mut pending: VecDeque<PendingPost> = VecDeque::with_capacity(MAX_IN_FLIGHT);
-        let mut out = MultiDecision::default();
-        for post in posts {
-            // Opportunistically retire completed posts, then respect the
-            // in-flight window.
-            drain_responses(
-                &self.links,
-                &self.shard_obs,
-                &mut pending,
-                &mut self.cache,
-                &mut self.outstanding,
-            );
-            while pending.front().is_some_and(|p| p.expected == 0) {
-                self.finalize_front(&mut pending, &mut out);
-                decisions.push(std::mem::take(&mut out));
-            }
-            let mut ok = true;
-            while ok && pending.len() >= MAX_IN_FLIGHT {
-                ok = self.wait_front(&mut pending);
-                if ok {
-                    self.finalize_front(&mut pending, &mut out);
-                    decisions.push(std::mem::take(&mut out));
-                }
-            }
-            if !ok {
-                self.abort_pending(&mut pending, &mut decisions);
-            }
-            if !self.issue_post(post, &mut pending) {
-                self.abort_pending(&mut pending, &mut decisions);
-            }
-        }
-        while !pending.is_empty() {
-            if self.wait_front(&mut pending) {
-                self.finalize_front(&mut pending, &mut out);
-                decisions.push(std::mem::take(&mut out));
-            } else {
-                self.abort_pending(&mut pending, &mut decisions);
-            }
-        }
-        if let Some(obs) = &self.obs {
-            obs.live_copies.set(self.registry.live_copies as i64);
-        }
+        let mut decisions = Vec::with_capacity(posts.len());
+        self.pipeline(posts, &mut MultiDecision::default(), |out| {
+            decisions.push(std::mem::take(out))
+        });
         decisions
     }
 
@@ -1566,19 +1478,18 @@ impl MultiDiversifier for ShardedMulti {
             return self.registry.metrics_total();
         }
         let c = &self.cache;
-        let mut total = EngineMetrics {
+        let copies_stored = c.copies.max(0) as u64;
+        let peak_copies = self.registry.peak_live_copies.max(copies_stored);
+        EngineMetrics {
             posts_processed: c.posts_processed,
             posts_emitted: c.posts_emitted,
             comparisons: c.comparisons,
             insertions: c.insertions,
             evictions: c.evictions,
-            copies_stored: c.copies_stored,
-            peak_copies: 0,
-            peak_memory_bytes: 0,
-        };
-        total.peak_copies = self.registry.peak_live_copies.max(total.copies_stored);
-        total.peak_memory_bytes = total.peak_copies * PostRecord::SIZE_BYTES as u64;
-        total
+            copies_stored,
+            peak_copies,
+            peak_memory_bytes: peak_copies * PostRecord::SIZE_BYTES as u64,
+        }
     }
 
     fn name(&self) -> String {
@@ -1588,50 +1499,47 @@ impl MultiDiversifier for ShardedMulti {
     /// Stitched sharded checkpoint: every shard serializes its engines in
     /// parallel and the control thread assembles the `(component key, blob)`
     /// pairs into the standard FHSNAP04 state — byte-identical to
-    /// `SharedMulti::save_state` over the same engines.
+    /// `SharedMulti::save_state` over the same engines. The save ends on
+    /// each shard's barrier, so a fleet holding other than one engine per
+    /// live component fails here instead of hanging or leaving blobs behind.
     fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         if !self.deployed {
             return self.registry.save_state(w);
         }
-        if self.any_dead() {
+        if any_dead(&self.health) {
             return Err(shard_failed_error());
         }
         let total = self.registry.component_count();
         let mut engines: Vec<(u64, Vec<u8>)> = Vec::with_capacity(total);
         let mut first_err: Option<std::io::Error> = None;
-        let mut received = 0usize;
-        // Like `park`, the push loop drains this path's own responses:
-        // earlier shards may already be streaming blobs back while later
-        // `SaveBlobs` are still being pushed.
-        for link in &self.links {
-            let mut req = Req::SaveBlobs;
-            loop {
-                match link.req.try_push(req) {
-                    Ok(()) => break,
-                    Err(r) => {
-                        req = r;
-                        if self.any_dead() {
-                            return Err(shard_failed_error());
-                        }
-                        received += self.receive_saved_blobs(&mut engines, &mut first_err);
-                        std::thread::yield_now();
-                    }
+        let reqs = (0..self.shards).map(|shard| (shard, Req::SaveBlobs));
+        let answered = collect(&self.links, &self.health, reqs, |_, resp| {
+            let Resp::Blob { cid, blob } = resp else {
+                unreachable!("only blobs may be in flight during a save")
+            };
+            match blob {
+                Ok(bytes) => {
+                    let meta = self.registry.meta[cid as usize]
+                        .as_ref()
+                        .expect("deployed engine has meta");
+                    engines.push((component_key(&meta.members), bytes));
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
             }
-            link.bell.ring();
-        }
-        while received < total {
-            let n = self.receive_saved_blobs(&mut engines, &mut first_err);
-            if n == 0 {
-                if self.any_dead() {
-                    return Err(shard_failed_error());
-                }
-                std::thread::yield_now();
-            }
-            received += n;
+        });
+        if !answered || any_dead(&self.health) {
+            return Err(shard_failed_error());
         }
         if let Some(e) = first_err {
             return Err(e);
+        }
+        if engines.len() != total {
+            return Err(std::io::Error::other(format!(
+                "sharded save collected {} engine states for {total} components",
+                engines.len()
+            )));
         }
         write_multi_state(
             w,
@@ -1664,7 +1572,7 @@ impl MultiDiversifier for ShardedMulti {
     fn take_shard_failure(&mut self) -> Option<ShardFailure> {
         // An unhealed death (e.g. detected by a failed `save_state`, which
         // must not mutate) is healed here so the report is complete.
-        if self.any_dead() {
+        if any_dead(&self.health) {
             self.recover_and_redeploy(0);
         }
         self.failure.take()
@@ -1696,25 +1604,16 @@ fn shard_failed_error() -> std::io::Error {
 
 impl Drop for ShardedMulti {
     fn drop(&mut self) {
-        for (shard, link) in self.links.iter().enumerate() {
-            if self.health[shard].dead.load(Ordering::SeqCst) {
+        for (link, health) in self.links.iter().zip(&self.health) {
+            if health.is_dead() {
                 continue; // nobody is listening
             }
-            let mut req = Req::Shutdown;
-            loop {
-                match link.req.try_push(req) {
-                    Ok(()) => break,
-                    Err(r) => {
-                        req = r;
-                        if self.health[shard].dead.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        while link.resp.try_pop().is_some() {}
-                        std::thread::yield_now();
-                    }
+            let _ = send(link, Req::Shutdown, || {
+                !health.is_dead() && {
+                    while link.resp.try_pop().is_some() {}
+                    true
                 }
-            }
-            link.bell.ring();
+            });
         }
         for (shard, worker) in self.workers.iter_mut().enumerate() {
             let Some(worker) = worker.take() else {
@@ -2101,6 +2000,43 @@ mod tests {
         let mut state = Vec::new();
         sh.save_state(&mut state).unwrap();
         assert!(!state.is_empty());
+    }
+
+    /// A fleet holding one engine fewer than there are live components
+    /// fails its save at the barrier instead of waiting forever for the
+    /// missing blob; once the engine is back, the stitched bytes match
+    /// `SharedMulti` again.
+    #[test]
+    fn save_with_a_withheld_engine_fails_promptly() {
+        let (graph, subs) = figure7();
+        let kind = AlgorithmKind::NeighborBin;
+        let mut seq = SharedMulti::new(kind, config(), &graph, subs.clone());
+        let mut sh = ShardedMulti::new(kind, config(), &graph, subs, 3).unwrap();
+        for post in &posts(80) {
+            seq.offer(post);
+            sh.offer(post);
+        }
+        // Recall one engine without redeploying it.
+        let cid = sh.registry.meta.iter().position(Option::is_some).unwrap() as u32;
+        assert!(sh.recall_released(&[cid]));
+        let started = Instant::now();
+        let err = sh.save_state(&mut Vec::new()).expect_err("save must fail");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "save must not spin"
+        );
+        assert!(
+            err.to_string()
+                .contains("collected 2 engine states for 3 components"),
+            "{err}"
+        );
+        sh.deployed = false;
+        assert!(sh.deploy([cid]));
+        assert_eq!(sh.metrics(), seq.metrics());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        seq.save_state(&mut a).unwrap();
+        sh.save_state(&mut b).unwrap();
+        assert_eq!(a, b, "stitched sharded state must match sequential bytes");
     }
 
     #[test]

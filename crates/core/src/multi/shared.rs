@@ -146,12 +146,6 @@ impl SharedMulti {
 }
 
 impl MultiDiversifier for SharedMulti {
-    fn offer(&mut self, post: &Post) -> MultiDecision {
-        let mut out = MultiDecision::default();
-        self.offer_into(post, &mut out);
-        out
-    }
-
     fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
         out.delivered_to.clear();
         let started = self.obs.is_some().then(std::time::Instant::now);

@@ -54,7 +54,7 @@ use firehose_stream::{
 use crate::checkpoint::{
     restore_latest_valid_multi, CheckpointManager, CheckpointPolicy, Manifest, RestoreError,
 };
-use crate::config::{ChurnConfig, EngineConfig, MemoryMode};
+use crate::config::{EngineConfig, MemoryMode};
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::{
@@ -531,7 +531,6 @@ pub struct FirehoseServiceBuilder<'g> {
     strategy: StrategyKind,
     algorithm: AlgorithmKind,
     config: EngineConfig,
-    churn: ChurnConfig,
     guard: Option<GuardConfig>,
     checkpoints: Option<(PathBuf, CheckpointPolicy)>,
     obs: Option<&'g firehose_obs::Registry>,
@@ -573,12 +572,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
     /// `memory` field.
     pub fn memory(mut self, memory: MemoryMode) -> Self {
         self.config.memory = memory;
-        self
-    }
-
-    /// Set churn behavior (default [`ChurnConfig::default`]: warm starts on).
-    pub fn churn_config(mut self, churn: ChurnConfig) -> Self {
-        self.churn = churn;
         self
     }
 
@@ -635,32 +628,23 @@ impl<'g> FirehoseServiceBuilder<'g> {
     /// Construct the service: builds the strategy, opens the checkpoint
     /// directory, and arms the guard.
     pub fn build(self) -> Result<FirehoseService, ServiceError> {
-        let warm = self.churn.warm_start;
         let memory = self.config.memory;
         let mut multi: Box<dyn MultiDiversifier + Send> = match self.strategy {
             StrategyKind::Independent => {
-                let mut m = IndependentMulti::builder(
+                let mut m = IndependentMulti::new(
                     self.algorithm,
                     self.config,
                     self.graph,
                     self.subscriptions,
-                )
-                .warm_start(warm)
-                .build()?;
+                );
                 if let Some(reg) = self.obs {
                     m.attach_obs(reg);
                 }
                 Box::new(m)
             }
             StrategyKind::Shared => {
-                let mut m = SharedMulti::builder(
-                    self.algorithm,
-                    self.config,
-                    self.graph,
-                    self.subscriptions,
-                )
-                .warm_start(warm)
-                .build()?;
+                let mut m =
+                    SharedMulti::new(self.algorithm, self.config, self.graph, self.subscriptions);
                 if let Some(reg) = self.obs {
                     m.attach_obs(reg);
                 }
@@ -674,7 +658,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
                     self.subscriptions,
                 )
                 .shards(shards)
-                .warm_start(warm)
                 .chaos(self.chaos);
                 if let Some(deadline) = self.watchdog {
                     b = b.watchdog(deadline);
@@ -793,7 +776,6 @@ impl FirehoseService {
             strategy: StrategyKind::Shared,
             algorithm: AlgorithmKind::UniBin,
             config: EngineConfig::paper_defaults(),
-            churn: ChurnConfig::default(),
             guard: None,
             checkpoints: None,
             obs: None,

@@ -401,6 +401,58 @@ fn checkpoint_policy_from(args: &Args) -> Result<CheckpointPolicy, String> {
     })
 }
 
+/// The service flags `run --subscriptions` and `serve` share — strategy,
+/// algorithm, engine config, guard, overload, rate limit and checkpoints —
+/// validated before any file is opened. Returns the function that builds
+/// the service once the graph and subscriptions are loaded.
+fn service_builder_from(
+    args: &Args,
+) -> Result<impl FnOnce(&UndirectedGraph, Subscriptions) -> Result<FirehoseService, String>, String>
+{
+    let algorithm = algorithm_from(args)?;
+    let engine_config = engine_config_from(args)?;
+    let strategy = strategy_from(args)?;
+    let guard = guard_config_from(args)?;
+    let overload = overload_config_from(args)?;
+    let rate_limit = match args.get("rate-limit") {
+        Some(pps) => {
+            let pps: f64 = pps
+                .parse()
+                .map_err(|e| format!("bad --rate-limit {pps:?}: {e}"))?;
+            if !pps.is_finite() || pps <= 0.0 {
+                return Err("--rate-limit must be a positive posts-per-second rate".into());
+            }
+            Some(RateLimitConfig::per_author(pps))
+        }
+        None => None,
+    };
+    let checkpoints = match args.get("checkpoint-dir") {
+        Some(dir) => Some((dir.to_owned(), checkpoint_policy_from(args)?)),
+        None => None,
+    };
+    Ok(
+        move |graph: &UndirectedGraph, subscriptions: Subscriptions| {
+            let mut builder = FirehoseService::builder(graph, subscriptions)
+                .strategy(strategy)
+                .algorithm(algorithm)
+                .engine_config(engine_config);
+            if let Some(guard) = guard {
+                builder = builder.guard(guard);
+            }
+            if let Some(overload) = overload {
+                builder = builder.overload(overload);
+            }
+            if let Some(rate_limit) = rate_limit {
+                builder = builder.rate_limit(rate_limit);
+            }
+            if let Some((dir, policy)) = checkpoints {
+                builder = builder.checkpoints(dir, policy);
+            }
+            builder.build().map_err(|e| e.to_string())
+        },
+    )
+}
+
 /// `run --subscriptions ...`: the multi-user service path. The whole
 /// pipeline — guard, strategy, checkpoints, live churn — runs behind one
 /// [`FirehoseService`]; `--churn-trace` replays subscription churn at the
@@ -410,10 +462,8 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
     let posts_path = args.require("posts")?;
     let graph_path = args.require("graph")?;
     let subs_path = args.require("subscriptions")?;
-    let algorithm = algorithm_from(args)?;
-    let engine_config = engine_config_from(args)?;
     let quiet: bool = args.parse_or("quiet", false)?;
-    let strategy = strategy_from(args)?;
+    let build_service = service_builder_from(args)?;
 
     let posts = corpus::read_posts(&mut open_reader(posts_path)?).map_err(|e| e.to_string())?;
     let graph = load_graph_for_posts(graph_path, &posts)?;
@@ -422,29 +472,7 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
     let subscriptions =
         Subscriptions::new(graph.node_count(), sets).map_err(|e| format!("{subs_path}: {e}"))?;
 
-    let mut builder = FirehoseService::builder(&graph, subscriptions)
-        .strategy(strategy)
-        .algorithm(algorithm)
-        .engine_config(engine_config);
-    if let Some(guard) = guard_config_from(args)? {
-        builder = builder.guard(guard);
-    }
-    if let Some(overload) = overload_config_from(args)? {
-        builder = builder.overload(overload);
-    }
-    if let Some(pps) = args.get("rate-limit") {
-        let pps: f64 = pps
-            .parse()
-            .map_err(|e| format!("bad --rate-limit {pps:?}: {e}"))?;
-        if !pps.is_finite() || pps <= 0.0 {
-            return Err("--rate-limit must be a positive posts-per-second rate".into());
-        }
-        builder = builder.rate_limit(RateLimitConfig::per_author(pps));
-    }
-    if let Some(dir) = args.get("checkpoint-dir") {
-        builder = builder.checkpoints(dir, checkpoint_policy_from(args)?);
-    }
-    let mut service = builder.build().map_err(|e| e.to_string())?;
+    let mut service = build_service(&graph, subscriptions)?;
 
     let trace: Vec<TracedOp> = match args.get("churn-trace") {
         Some(path) => read_churn_trace(open_reader(path)?).map_err(|e| format!("{path}: {e}"))?,
@@ -696,9 +724,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let graph_path = args.require("graph")?;
     let subs_path = args.require("subscriptions")?;
     let listen = args.get("listen").unwrap_or("127.0.0.1:7878");
-    let algorithm = algorithm_from(args)?;
-    let engine_config = engine_config_from(args)?;
-    let strategy = strategy_from(args)?;
+    let build_service = service_builder_from(args)?;
 
     let graph =
         graph_io::read_undirected(&mut open_reader(graph_path)?).map_err(|e| e.to_string())?;
@@ -708,29 +734,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         Subscriptions::new(graph.node_count(), sets).map_err(|e| format!("{subs_path}: {e}"))?;
 
     let registry = Arc::new(Registry::new());
-    let mut builder = FirehoseService::builder(&graph, subscriptions)
-        .strategy(strategy)
-        .algorithm(algorithm)
-        .engine_config(engine_config);
-    if let Some(guard) = guard_config_from(args)? {
-        builder = builder.guard(guard);
-    }
-    if let Some(overload) = overload_config_from(args)? {
-        builder = builder.overload(overload);
-    }
-    if let Some(pps) = args.get("rate-limit") {
-        let pps: f64 = pps
-            .parse()
-            .map_err(|e| format!("bad --rate-limit {pps:?}: {e}"))?;
-        if !pps.is_finite() || pps <= 0.0 {
-            return Err("--rate-limit must be a positive posts-per-second rate".into());
-        }
-        builder = builder.rate_limit(RateLimitConfig::per_author(pps));
-    }
-    if let Some(dir) = args.get("checkpoint-dir") {
-        builder = builder.checkpoints(dir, checkpoint_policy_from(args)?);
-    }
-    let service = builder.build().map_err(|e| e.to_string())?;
+    let service = build_service(&graph, subscriptions)?;
 
     let config = ServerConfig {
         max_connections: args.parse_or("max-conns", ServerConfig::default().max_connections)?,

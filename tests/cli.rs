@@ -174,6 +174,37 @@ fn shards_conflicting_with_strategy_is_rejected() {
 }
 
 #[test]
+fn run_and_serve_reject_a_zero_rate_limit_alike() {
+    // Both commands validate the shared service flags before opening any
+    // file.
+    let errors: Vec<String> = [
+        &[
+            "run",
+            "--posts",
+            "p.tsv",
+            "--graph",
+            "g.fhg",
+            "--subscriptions",
+            "s.tsv",
+        ][..],
+        &["serve", "--graph", "g.fhg", "--subscriptions", "s.tsv"][..],
+    ]
+    .iter()
+    .map(|command| {
+        let mut args = command.to_vec();
+        args.extend(["--rate-limit", "0"]);
+        run_err(&args)
+    })
+    .collect();
+    assert!(
+        errors[0].contains("--rate-limit must be a positive posts-per-second rate"),
+        "{}",
+        errors[0]
+    );
+    assert_eq!(errors[0], errors[1]);
+}
+
+#[test]
 fn retired_parallel_strategy_lists_the_remaining_ones() {
     let err = run_err(&[
         "serve",
